@@ -364,7 +364,13 @@ and construct_at ~params ~budget ~hidden ~t2 ?(terminating = false) theory
             tripped = kap.Rewrite.tripped;
           }
         in
-        let coloring = Coloring.natural ~m sk.Skeleton.skeleton in
+        match Coloring.natural ?budget ~m sk.Skeleton.skeleton with
+        | exception Budget.Exhausted r ->
+            Unknown
+              ( Fmt.str "%s budget exhausted during coloring"
+                  (Budget.resource_name r),
+                { stats0 with tripped = Some r } )
+        | coloring ->
         (* -------- step 6: quotient, saturate, verify -------- *)
         let attempts = ref [] in
         let try_n n =

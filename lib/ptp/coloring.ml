@@ -15,6 +15,7 @@
    keys.  [distance] implements the Lemma 13 variant for bounded-degree
    structures: all colors pairwise distinct within each radius-m ball. *)
 
+open Bddfc_budget
 open Bddfc_logic
 open Bddfc_structure
 
@@ -76,7 +77,14 @@ let materialize inst hue lightness =
 (* Natural colorings of VTDAGs (Definition 14)                        *)
 (* ----------------------------------------------------------------- *)
 
-let natural ~m inst =
+(* Both passes walk every element and can run for seconds on a large
+   skeleton, so a budget gets a deadline check every few elements. *)
+let natural ?budget ~m inst =
+  let tick =
+    match budget with
+    | None -> fun _ -> ()
+    | Some b -> fun i -> if i land 3 = 0 then Budget.check_deadline b
+  in
   let g = Bgraph.make inst in
   let n = Instance.num_elements inst in
   let hue = Array.make (max n 1) 0 in
@@ -86,6 +94,7 @@ let natural ~m inst =
   let lnext = ref 0 in
   let consts = Instance.constants inst in
   for e = 0 to n - 1 do
+    tick e;
     let elems =
       Element.Id_set.elements (Bgraph.pred_set g e) @ consts
       |> List.sort_uniq compare
@@ -108,8 +117,9 @@ let natural ~m inst =
         List.filter (Instance.is_const inst) (Instance.elements inst) @ topo
     | None -> Instance.elements inst
   in
-  List.iter
-    (fun e ->
+  List.iteri
+    (fun i e ->
+      tick i;
       let conflicts = Element.Id_set.remove e (Bgraph.pred_set_k g m e) in
       let used =
         Element.Id_set.fold (fun d acc -> hue.(d) :: acc) conflicts []

@@ -4,6 +4,7 @@
     lightness only to elements with isomorphic predecessor
     neighbourhoods. *)
 
+open Bddfc_budget
 open Bddfc_logic
 open Bddfc_structure
 
@@ -25,10 +26,12 @@ val uncolor : Instance.t -> Instance.t
 val materialize : Instance.t -> int array -> int array -> t
 (** Build a coloring from explicit hue and lightness arrays. *)
 
-val natural : m:int -> Instance.t -> t
+val natural : ?budget:Budget.t -> m:int -> Instance.t -> t
 (** A natural coloring (Definition 14) for parameter [m], via greedy hue
     assignment over the P_m conflict relation and canonical neighbourhood
-    keys for lightness.  Intended for VTDAGs/forests (chase skeletons). *)
+    keys for lightness.  Intended for VTDAGs/forests (chase skeletons).
+    With a [budget], the deadline is checked every few elements.
+    @raise Budget.Exhausted when it passes. *)
 
 val distance : radius:int -> Instance.t -> t
 (** The Lemma 13 variant: hues pairwise distinct within each ball. *)

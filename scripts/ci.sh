@@ -58,18 +58,19 @@ BDDFC_TEST_DOMAINS=4 dune runtest --force
 # interned run above
 BDDFC_TEST_HC=structural dune runtest --force
 
-# the CLI cram suite (exit codes, diagnostics, --strategy acceptance)
+# the CLI cram suite (exit codes, diagnostics, --strategy acceptance,
+# and the bench gate self-test against doctored EX-20/EX-21 blobs)
 dune build @test/cli/runtest
 
 # the strategy agreement smoke: exits nonzero if the two chase
 # evaluation strategies diverge on any bench workload or zoo entry
-dune exec bench/main.exe -- --strategy-smoke
+dune exec bench/main.exe -- --only strategy
 
 # the join-engine smoke: compiled plans and the reference interpreter
 # must agree on every workload and zoo entry, and the compiled engine's
 # deterministic probe / index-op counts must stay within 10% of the
 # committed EX-17 blob (wall times are informational only)
-dune exec bench/main.exe -- --eval-smoke --bench05-check BENCH_05.json
+dune exec bench/main.exe -- --only eval --check BENCH_05.json
 
 # the serve load harness: forked server children driven through
 # cold/warm/overload/faulted phases.  Gated: both children exit 0,
@@ -77,14 +78,14 @@ dune exec bench/main.exe -- --eval-smoke --bench05-check BENCH_05.json
 # >=5x better than cold, and the deterministic request/error counts
 # (the error-rate of the seeded fault stream) match the committed
 # EX-18 blob.  Latencies are reported, never gated.
-dune exec bench/main.exe -- --serve-bench --bench06-check BENCH_06.json
+dune exec bench/main.exe -- --only serve --check BENCH_06.json
 
 # the parallel-chase smoke (EX-19): every workload at 1/2/4/8 domains
 # must produce identical rounds/facts/probes/index-op counts and a
 # bit-identical instance, matching the committed BENCH_07 blob exactly.
 # The >= 2x speedup at 4 domains is gated only on machines with >= 4
 # cores; wall times are reported either way.
-dune exec bench/main.exe -- --parallel-smoke --bench07-check BENCH_07.json
+dune exec bench/main.exe -- --only parallel --check BENCH_07.json
 
 # the dataflow-analysis smoke (EX-20): every zoo entry's dataflow
 # report must build and its JSON must re-parse; sliced and unsliced
@@ -92,7 +93,7 @@ dune exec bench/main.exe -- --parallel-smoke --bench07-check BENCH_07.json
 # the padded workloads must keep their >= 1.5x join-probe reduction;
 # and the probe counts must stay within 10% of the committed EX-20
 # blob.  Wall times are reported, never gated.
-dune exec bench/main.exe -- --analyze-smoke --bench08-check BENCH_08.json
+dune exec bench/main.exe -- --only analyze --check BENCH_08.json
 
 # the hash-consing smoke (EX-21): every workload must produce
 # byte-identical verdicts under the interned and structural containment
@@ -100,7 +101,7 @@ dune exec bench/main.exe -- --analyze-smoke --bench08-check BENCH_08.json
 # the counters must stay within 10% of the committed EX-21 blob; at
 # least one workload must show a >= 1.5x interned speedup (both arms
 # run in the same process).  Absolute wall times are never gated.
-dune exec bench/main.exe -- --hc-smoke --bench09-check BENCH_09.json
+dune exec bench/main.exe -- --only hc --check BENCH_09.json
 
 # the incremental-maintenance smoke (EX-22): a churn stream of small
 # assert/retract batches, the maintained instance bit-identical to a
@@ -109,13 +110,13 @@ dune exec bench/main.exe -- --hc-smoke --bench09-check BENCH_09.json
 # the committed EX-22 blob.  The >= 5x maintained-vs-rechase speedup on
 # at least one workload is gated only on machines with >= 4 cores (as
 # in BENCH_07); wall times are reported either way.
-dune exec bench/main.exe -- --maintain-smoke --bench10-check BENCH_10.json
+dune exec bench/main.exe -- --only maintain --check BENCH_10.json
 
 # the observability smoke: tracing must be semantically inert (same
 # results, same counter deltas) and the disabled path within noise;
 # the registry snapshot is archived as a BENCH_*-style blob
 mkdir -p _ci_artifacts
-dune exec bench/main.exe -- --obs-smoke --metrics-out _ci_artifacts/BENCH_obs_smoke.json
+dune exec bench/main.exe -- --only obs --metrics-out _ci_artifacts/BENCH_obs_smoke.json
 python3 -m json.tool _ci_artifacts/BENCH_obs_smoke.json > /dev/null
 
 # smoke-test the CLI exit-code contract

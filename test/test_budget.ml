@@ -202,6 +202,41 @@ let test_refine_trap_partial () =
   check Alcotest.bool "classes still cover the graph" true
     (Array.length partial.Refine.cls = Bgraph.size g)
 
+(* ------------------------------ coloring ------------------------------- *)
+
+(* Coloring Example 9's branching skeleton ran seconds past a deadline
+   because it never checked the budget.  With an already-expired deadline
+   it now stops at its first check; inside the pipeline the trip ends the
+   attempt at coloring, as an Unknown naming the deadline. *)
+let test_coloring_deadline () =
+  let e = Option.get (Zoo.find "ex9") in
+  let d = Zoo.database_instance e in
+  let chase = Chase.run ~max_rounds:7 ~max_elements:2000 e.Zoo.theory d in
+  let sk = (Skeleton.extract e.Zoo.theory chase).Skeleton.skeleton in
+  let expired = Budget.v ~deadline_s:(-1.) () in
+  (match
+     Budget.run expired (fun () -> Coloring.natural ~budget:expired ~m:2 sk)
+   with
+  | Error r -> check resource "coloring trips on the deadline" Budget.Deadline r
+  | Ok _ -> Alcotest.fail "coloring ignored an expired deadline");
+  (* the pipeline reaches coloring only with time left after the chase;
+     a fault trap stands in for the deadline passing there: the chase
+     prefix and kappa absorb its first trips, coloring's deadline check
+     takes the next *)
+  let params =
+    { Pipeline.default_params with
+      budget = Some (Budget.with_fuel_trap ~after:1 (Budget.v ()));
+      depth_growth = [ 1 ];
+    }
+  in
+  match Pipeline.construct ~params e.Zoo.theory d e.Zoo.query with
+  | Pipeline.Unknown (reason, st) ->
+      check Alcotest.string "ends at coloring"
+        "deadline budget exhausted during coloring" reason;
+      check (Alcotest.option resource) "tripped" (Some Budget.Deadline)
+        st.Pipeline.tripped
+  | _ -> Alcotest.fail "a tripped pipeline must answer Unknown"
+
 (* ---------------------------- naive search ----------------------------- *)
 
 let test_naive_node_fuel () =
@@ -438,6 +473,8 @@ let suite =
       tc "rewrite: trap via governor" test_rewrite_deadline_via_governor;
       tc "kappa: tripped propagates" test_kappa_tripped_propagates;
       tc "refine: trap yields a sound partial" test_refine_trap_partial;
+      tc "coloring: deadline ends the pipeline at coloring"
+        test_coloring_deadline;
       tc "naive: node fuel" test_naive_node_fuel;
       tc "naive: exhaustive trap" test_exhaustive_absence_trap;
       tc "pipeline: deadline terminates" test_pipeline_deadline_terminates;
