@@ -562,6 +562,10 @@ let ex14_strategies () =
    round by round (rounds, facts per round, total facts, outcome) on
    every EX-14 workload and zoo entry.  [run] runs one configuration on
    one workload; a divergence is a bug in one of the two paths. *)
+let smoke_workloads () =
+  List.map (fun (n, t, d, m) -> (n, `Bench (t, d, m))) (ex14_workloads ())
+  @ List.map (fun (e : Zoo.entry) -> (e.Zoo.name, `Zoo e)) Zoo.all
+
 let agreement_smoke title (na, a) (nb, b) run =
   header title;
   List.iter
@@ -582,19 +586,63 @@ let agreement_smoke title (na, a) (nb, b) run =
         (I.num_facts ra.Chase.Chase.instance)
         nb rb.Chase.Chase.rounds
         (I.num_facts rb.Chase.Chase.instance))
-    (List.map (fun (n, t, d, m) -> (n, `Bench (t, d, m))) (ex14_workloads ())
-    @ List.map (fun (e : Zoo.entry) -> (e.Zoo.name, `Zoo e)) Zoo.all)
+    (smoke_workloads ())
 
 let zoo_chase ?strategy ?eval (e : Zoo.entry) =
   Chase.Chase.run ?strategy ?eval ~max_rounds:10 ~max_elements:4000
     e.Zoo.theory (Zoo.database_instance e)
+
+(* Provenance.run is Chase.run with derivations recorded: on every
+   workload it must reach the same fact and element counts, and every
+   fact must have a reason. *)
+let provenance_smoke () =
+  header "provenance smoke: Provenance.run vs Chase.run agreement";
+  let strategy = Chase.Chase.Seminaive in
+  List.iter
+    (fun (name, work) ->
+      let r, p =
+        match work with
+        | `Bench (theory, db, mode) ->
+            let max_rounds =
+              match mode with `Saturate -> 10_000 | `Rounds k -> k
+            in
+            ( ex14_run strategy theory db mode,
+              Chase.Provenance.run ~strategy ?budget:!governor ~max_rounds
+                theory db )
+        | `Zoo e ->
+            ( zoo_chase ~strategy e,
+              Chase.Provenance.run ~strategy ~max_rounds:10
+                ~max_elements:4000 e.Zoo.theory (Zoo.database_instance e) )
+      in
+      let inst = p.Chase.Provenance.instance in
+      let unexplained =
+        List.length
+          (List.filter
+             (fun f -> Chase.Provenance.reason_of p f = None)
+             (I.facts inst))
+      in
+      let ok =
+        I.num_facts r.Chase.Chase.instance = I.num_facts inst
+        && I.num_elements r.Chase.Chase.instance = I.num_elements inst
+        && unexplained = 0
+      in
+      if not ok then fail "provenance smoke: %s DIVERGES@." name;
+      Fmt.pr "%-20s %-6s (chase %d facts/%d elements, provenance %d/%d, \
+              %d without a reason)@."
+        name
+        (if ok then "agree" else "DIVERGE")
+        (I.num_facts r.Chase.Chase.instance)
+        (I.num_elements r.Chase.Chase.instance)
+        (I.num_facts inst) (I.num_elements inst) unexplained)
+    (smoke_workloads ())
 
 let strategy_smoke () =
   agreement_smoke "strategy smoke: naive vs semi-naive agreement"
     ("naive", Chase.Chase.Naive) ("seminaive", Chase.Chase.Seminaive)
     (fun strategy -> function
       | `Bench (theory, db, mode) -> ex14_run strategy theory db mode
-      | `Zoo e -> zoo_chase ~strategy e)
+      | `Zoo e -> zoo_chase ~strategy e);
+  provenance_smoke ()
 
 (* The join-engine smoke: the interpreter is the oracle for the
    compiled plans. *)

@@ -125,16 +125,17 @@ let instantiate inst binding fresh atom =
   in
   Fact.make (Atom.pred atom) (Array.of_list (List.map id_of (Atom.args atom)))
 
+let frontier_init frontier binding =
+  Smap.filter (fun x _ -> Rule.SS.mem x frontier) binding
+
 (* Witness check: does the round's visible state satisfy
    [exists Z. head] under the frontier part of [binding]?  Under the
    semi-naive strategy [snapshot] is the live instance and [upto] trims
    the join to the committed prefix (births < round). *)
 let witness_exists ?upto ?eval snapshot rule binding =
-  let frontier = Rule.frontier rule in
-  let init =
-    Smap.filter (fun x _ -> Rule.SS.mem x frontier) binding
-  in
-  Eval.satisfiable ~init ?upto ?engine:eval snapshot (Rule.head rule)
+  Eval.satisfiable
+    ~init:(frontier_init (Rule.frontier rule) binding)
+    ?upto ?engine:eval snapshot (Rule.head rule)
 
 (* Key identifying the demanded head instance: predicate names and frontier
    arguments, with existential slots anonymized.  Two triggers demanding
@@ -154,14 +155,95 @@ let demand_key rule binding =
   in
   String.concat "&" (List.map render_atom (Rule.head rule))
 
+(* One witness per body homomorphism. *)
+let oblivious_key rule binding =
+  Rule.name rule ^ "#"
+  ^ String.concat ","
+      (List.map
+         (fun (x, id) -> x ^ ":" ^ string_of_int id)
+         (Smap.bindings binding))
+
+(* The existential-trigger filter of both round engines: [None] when
+   the round's state already holds a witness (restricted variant only),
+   otherwise the key under which the trigger fires at most once. *)
+let trigger_key ~variant ~witnessed rule binding =
+  match variant with
+  | Oblivious -> Some (oblivious_key rule binding)
+  | Restricted -> if witnessed () then None else Some (demand_key rule binding)
+
 type record =
   round:int -> rule:Rule.t -> binding:Eval.binding -> Fact.t -> unit
 
-type round_stats = {
-  fired_datalog : int;
-  fired_existential : int;
-  nulls : int; (* labelled nulls invented this round *)
+(* Where one round's commits land: the instance, the governor they are
+   charged to, the birth stamp of everything they add, and the round's
+   tallies. *)
+type sink = {
+  inst : Instance.t;
+  budget : Budget.t;
+  round_no : int;
+  record : record option;
+  mutable added : int; (* facts added *)
+  mutable nulls : int; (* labelled nulls invented *)
 }
+
+let sink ?record ~budget ~round_no inst =
+  { inst; budget; round_no; record; added = 0; nulls = 0 }
+
+(* The skeleton-forest parent of a trigger's nulls: the first frontier
+   element appearing in a head atom. *)
+let parent rule binding =
+  List.find_map
+    (fun a ->
+      List.find_map
+        (function Term.Var x -> Smap.find_opt x binding | Term.Cst _ -> None)
+        (Atom.args a))
+    (Rule.head rule)
+
+(* Fire one trigger: instantiate every head atom under [binding],
+   inventing one null per existential variable (charged to Elements),
+   and add the facts (charged to Facts, each new one reported to the
+   [record] hook).  A datalog head has no existential variable, so it
+   only adds.  This is the one mutation site of both round engines and
+   of Maintain's repair sweep. *)
+let commit s rule binding =
+  let nulls = ref [] in
+  let fresh x =
+    match List.assoc_opt x !nulls with
+    | Some id -> id
+    | None ->
+        Shard.Check.mutating ();
+        Budget.charge s.budget Budget.Elements 1;
+        let id =
+          Instance.fresh_null s.inst ~birth:s.round_no ~rule:(Rule.name rule)
+            ~parent:(parent rule binding)
+        in
+        Obs.Metrics.incr m_nulls;
+        s.nulls <- s.nulls + 1;
+        nulls := (x, id) :: !nulls;
+        id
+  in
+  List.iter
+    (fun atom ->
+      let f = instantiate s.inst binding fresh atom in
+      Shard.Check.mutating ();
+      if Instance.add_fact ~birth:s.round_no s.inst f then begin
+        s.added <- s.added + 1;
+        Obs.Metrics.incr m_facts;
+        Option.iter (fun r -> r ~round:s.round_no ~rule ~binding f) s.record;
+        Budget.charge s.budget Budget.Facts 1
+      end)
+    (Rule.head rule)
+
+(* Commit a trigger that passed the round's filter: datalog triggers
+   always, existential ones once per key per round ([demanded]). *)
+let fire s demanded rule ~datalog binding key =
+  if datalog then commit s rule binding
+  else
+    match key with
+    | Some k when not (Hashtbl.mem demanded k) ->
+        Hashtbl.replace demanded k ();
+        commit s rule binding
+    | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* The parallel round                                                  *)
@@ -182,8 +264,8 @@ type round_stats = {
      phase C (coordinator)  replay the candidates in job order — which is
                             (rule, pass, root candidate, sub-walk) order,
                             i.e. exactly the sequential enumeration
-                            order — performing all mutation and budget
-                            charging.
+                            order — through [fire], the sequential
+                            round's commit path.
 
    Everything order-sensitive (fact insertion, demand dedup, null ids,
    fuel-trap charge points) happens in phase C on one domain in the
@@ -195,15 +277,7 @@ type round_stats = {
    mid-round commits do not exist yet, and the birth windows already
    guarantee the sequential round's evaluation never sees its own round's
    writes — the invariant that makes this fork-join sound (DESIGN.md
-   section 11).
-
-   The commit logic in phase C must stay in lockstep with the sequential
-   [round] body below: both are the restricted-chase commit semantics,
-   one streamed, one replayed. *)
-
-type pcand =
-  | Pdatalog of Eval.binding
-  | Pexist of { pc_binding : Eval.binding; pc_fire : bool; pc_key : string }
+   section 11). *)
 
 type pjob = {
   pj_rule : Rule.t;
@@ -213,27 +287,14 @@ type pjob = {
   pj_pass : Eval.pass;
   pj_lo : int;
   pj_hi : int; (* root-candidate range [lo, hi) *)
-  mutable pj_out : pcand list; (* enumeration order, after the batch *)
+  mutable pj_out : (Eval.binding * string option) list;
+      (* bindings and their [trigger_key]s, enumeration order *)
 }
 
 let chunks_per_domain = 4
 
-let oblivious_key rule binding =
-  Rule.name rule ^ "#"
-  ^ String.concat ","
-      (List.map
-         (fun (x, id) -> x ^ ":" ^ string_of_int id)
-         (Smap.bindings binding))
-
-let parallel_round ~variant ~domains ~datalog_only ?fired ?since ?record
-    ~budget ~round_no theory inst =
-  Obs.Metrics.incr m_rounds;
-  let since = Option.value since ~default:(round_no - 1) and upto = round_no in
-  let noted =
-    match record with
-    | Some fn -> fun rule binding f -> fn ~round:round_no ~rule ~binding f
-    | None -> fun _ _ _ -> ()
-  in
+let parallel_round ~variant ~domains ~datalog_only ~demanded s theory =
+  let inst = s.inst and upto = s.round_no in
   let pool = Shard.shared_pool domains in
   (* phase A *)
   let jobs = ref [] in
@@ -271,7 +332,7 @@ let parallel_round ~variant ~domains ~datalog_only ?fired ?since ?record
                 lo := !lo + len
               done
             end)
-          (Eval.passes ~since ~upto inst body_prep)
+          (Eval.passes ~since:(upto - 1) ~upto inst body_prep)
       end)
     (Theory.rules theory);
   let jobs = Array.of_list (List.rev !jobs) in
@@ -282,34 +343,22 @@ let parallel_round ~variant ~domains ~datalog_only ?fired ?since ?record
     let job = jobs.(j) in
     Shard.Check.observe ~facts:(Instance.num_facts inst)
       ~elements:(Instance.num_elements inst);
-    if not (Budget.deadline_expired budget) then begin
+    if not (Budget.deadline_expired s.budget) then begin
       let out = ref [] in
       let yield =
-        if job.pj_datalog then fun binding ->
-          out := Pdatalog binding :: !out
+        if job.pj_datalog then fun binding -> out := (binding, None) :: !out
         else fun binding ->
-          let pc_fire =
-            match variant with
-            | Oblivious -> true
-            | Restricted ->
-                let init =
-                  Smap.filter
-                    (fun x _ -> Rule.SS.mem x job.pj_frontier)
-                    binding
-                in
-                not
-                  (Eval.satisfiable_prepared ~init ~upto inst
-                     (Option.get job.pj_head_prep))
+          let witnessed () =
+            Eval.satisfiable_prepared
+              ~init:(frontier_init job.pj_frontier binding)
+              ~upto inst
+              (Option.get job.pj_head_prep)
           in
-          let pc_key =
-            match variant with
-            | Oblivious -> oblivious_key job.pj_rule binding
-            | Restricted -> demand_key job.pj_rule binding
-          in
-          out := Pexist { pc_binding = binding; pc_fire; pc_key } :: !out
+          out := (binding, trigger_key ~variant ~witnessed job.pj_rule binding)
+                 :: !out
       in
       let c = ref job.pj_lo in
-      while !c < job.pj_hi && not (Budget.deadline_expired budget) do
+      while !c < job.pj_hi && not (Budget.deadline_expired s.budget) do
         Eval.pass_run inst job.pj_pass ~cand:!c yield;
         incr c
       done;
@@ -326,244 +375,74 @@ let parallel_round ~variant ~domains ~datalog_only ?fired ?since ?record
      join — guarded by the pure probe, because check_deadline also
      ticks the fuel trap and an unconditional call would shift trap
      points relative to the sequential engine. *)
-  if Budget.deadline_expired budget then Budget.check_deadline budget;
-  (* phase C — keep in lockstep with the sequential body of [round] *)
-  let added = ref 0 in
-  let stats = ref { fired_datalog = 0; fired_existential = 0; nulls = 0 } in
-  let add f =
-    Shard.Check.mutating ();
-    if Instance.add_fact ~birth:round_no inst f then begin
-      incr added;
-      Obs.Metrics.incr m_facts;
-      Budget.charge budget Budget.Facts 1;
-      true
-    end
-    else false
-  in
-  let demanded =
-    match fired with Some t -> t | None -> Hashtbl.create 64
-  in
+  if Budget.deadline_expired s.budget then Budget.check_deadline s.budget;
+  (* phase C *)
   Array.iter
     (fun job ->
       List.iter
-        (fun cand ->
-          match cand with
-          | Pdatalog binding ->
-              List.iter
-                (fun head_atom ->
-                  let f =
-                    instantiate inst binding
-                      (fun x ->
-                        invalid_arg ("Chase.round: unbound head variable " ^ x))
-                      head_atom
-                  in
-                  if add f then begin
-                    noted job.pj_rule binding f;
-                    stats :=
-                      { !stats with fired_datalog = !stats.fired_datalog + 1 }
-                  end)
-                (Rule.head job.pj_rule)
-          | Pexist { pc_binding; pc_fire; pc_key } ->
-              if pc_fire && not (Hashtbl.mem demanded pc_key) then begin
-                Hashtbl.replace demanded pc_key ();
-                let parent =
-                  List.fold_left
-                    (fun acc a ->
-                      match acc with
-                      | Some _ -> acc
-                      | None ->
-                          List.fold_left
-                            (fun acc' t ->
-                              match (acc', t) with
-                              | Some _, _ -> acc'
-                              | None, Term.Var x -> Smap.find_opt x pc_binding
-                              | None, Term.Cst _ -> None)
-                            None (Atom.args a))
-                    None (Rule.head job.pj_rule)
-                in
-                let fresh_cache = Hashtbl.create 4 in
-                let fresh x =
-                  match Hashtbl.find_opt fresh_cache x with
-                  | Some id -> id
-                  | None ->
-                      Shard.Check.mutating ();
-                      Budget.charge budget Budget.Elements 1;
-                      let id =
-                        Instance.fresh_null inst ~birth:round_no
-                          ~rule:(Rule.name job.pj_rule) ~parent
-                      in
-                      Obs.Metrics.incr m_nulls;
-                      stats := { !stats with nulls = !stats.nulls + 1 };
-                      Hashtbl.replace fresh_cache x id;
-                      id
-                in
-                List.iter
-                  (fun head_atom ->
-                    let f = instantiate inst pc_binding fresh head_atom in
-                    if add f then noted job.pj_rule pc_binding f)
-                  (Rule.head job.pj_rule);
-                stats :=
-                  { !stats with
-                    fired_existential = !stats.fired_existential + 1;
-                  }
-              end)
+        (fun (binding, key) ->
+          fire s demanded job.pj_rule ~datalog:job.pj_datalog binding key)
         job.pj_out)
-    jobs;
-  (!added, !stats)
+    jobs
 
-(* One simultaneous chase round on [inst].  Returns the number of facts
-   added.  Body evaluation and witness checks read the state at the start
-   of the round: a full copy under the Naive strategy, the committed
-   prefix of [inst] itself (births < round_no, in place) under Seminaive
-   and Parallel.  New facts are stamped with [round_no] as their birth.
-   Fresh elements and added facts are charged to [budget]; a trip
-   mid-round leaves a partial round behind (best effort). *)
-let sequential_round ~variant ~strategy ?eval ~datalog_only ?fired ?since
-    ?record ~(budget : Budget.t) ~round_no theory inst =
+(* One simultaneous chase round into [s].  Body evaluation and witness
+   checks read the state at the start of the round: a full copy under
+   the Naive strategy, the committed prefix of the instance itself
+   (births < round_no, in place) under Seminaive.  Under Seminaive only
+   bindings with >= 1 body atom in the previous round's delta are
+   enumerated — every other binding already fired (or was
+   witness-blocked) in an earlier round. *)
+let sequential_round ~variant ~strategy ?eval ~datalog_only ~demanded s
+    theory =
+  let inst = s.inst and round_no = s.round_no in
   let snapshot, upto =
     match strategy with
     | Naive -> (Instance.copy inst, None)
     | Seminaive | Parallel _ -> (inst, Some round_no)
   in
-  Obs.Metrics.incr m_rounds;
-  let noted =
-    match record with
-    | Some fn -> fun rule binding f -> fn ~round:round_no ~rule ~binding f
-    | None -> fun _ _ _ -> ()
-  in
-  let added = ref 0 in
-  let stats = ref { fired_datalog = 0; fired_existential = 0; nulls = 0 } in
-  let add f =
-    if Instance.add_fact ~birth:round_no inst f then begin
-      incr added;
-      Obs.Metrics.incr m_facts;
-      Budget.charge budget Budget.Facts 1;
-      true
-    end
-    else false
-  in
-  (* Under Seminaive only bindings with >= 1 body atom in the previous
-     round's delta are enumerated — every other binding already fired (or
-     was witness-blocked) in an earlier round. *)
   let iter_bindings rule yield =
     match strategy with
     | Naive -> Eval.iter_solutions ?engine:eval snapshot (Rule.body rule) yield
     | Seminaive | Parallel _ ->
-        Eval.iter_solutions_delta
-          ~since:(Option.value since ~default:(round_no - 1)) ~upto:round_no
+        Eval.iter_solutions_delta ~since:(round_no - 1) ~upto:round_no
           ?engine:eval inst (Rule.body rule) yield
-  in
-  (* [fired] persists across rounds (needed for the oblivious variant,
-     where a trigger must fire exactly once ever); without it the table is
-     per-round, which is enough for the restricted variant because the
-     created witness blocks the trigger in later rounds. *)
-  let demanded =
-    match fired with Some t -> t | None -> Hashtbl.create 64
   in
   List.iter
     (fun rule ->
-      if (not datalog_only) || Rule.is_datalog rule then
+      let datalog = Rule.is_datalog rule in
+      if (not datalog_only) || datalog then
         iter_bindings rule (fun binding ->
-            if Rule.is_datalog rule then begin
-              List.iter
-                (fun head_atom ->
-                  let f =
-                    instantiate inst binding
-                      (fun x ->
-                        invalid_arg ("Chase.round: unbound head variable " ^ x))
-                      head_atom
-                  in
-                  if add f then begin
-                    noted rule binding f;
-                    stats :=
-                      { !stats with fired_datalog = !stats.fired_datalog + 1 }
-                  end)
-                (Rule.head rule)
-            end
-            else begin
-              let fire =
-                match variant with
-                | Oblivious -> true
-                | Restricted ->
-                    not (witness_exists ?upto ?eval snapshot rule binding)
-              in
-              let key =
-                match variant with
-                | Oblivious ->
-                    (* one witness per body homomorphism *)
-                    Rule.name rule ^ "#"
-                    ^ String.concat ","
-                        (List.map
-                           (fun (x, id) -> x ^ ":" ^ string_of_int id)
-                           (Smap.bindings binding))
-                | Restricted -> demand_key rule binding
-              in
-              if fire && not (Hashtbl.mem demanded key) then begin
-                Hashtbl.replace demanded key ();
-                (* parent: the first frontier element appearing in a head
-                   atom, used by the skeleton forest *)
-                let parent =
-                  List.fold_left
-                    (fun acc a ->
-                      match acc with
-                      | Some _ -> acc
-                      | None ->
-                          List.fold_left
-                            (fun acc' t ->
-                              match (acc', t) with
-                              | Some _, _ -> acc'
-                              | None, Term.Var x -> Smap.find_opt x binding
-                              | None, Term.Cst _ -> None)
-                            None (Atom.args a))
-                    None (Rule.head rule)
-                in
-                let fresh_cache = Hashtbl.create 4 in
-                let fresh x =
-                  match Hashtbl.find_opt fresh_cache x with
-                  | Some id -> id
-                  | None ->
-                      Budget.charge budget Budget.Elements 1;
-                      let id =
-                        Instance.fresh_null inst ~birth:round_no
-                          ~rule:(Rule.name rule) ~parent
-                      in
-                      Obs.Metrics.incr m_nulls;
-                      stats := { !stats with nulls = !stats.nulls + 1 };
-                      Hashtbl.replace fresh_cache x id;
-                      id
-                in
-                List.iter
-                  (fun head_atom ->
-                    let f = instantiate inst binding fresh head_atom in
-                    if add f then noted rule binding f)
-                  (Rule.head rule);
-                stats :=
-                  { !stats with
-                    fired_existential = !stats.fired_existential + 1;
-                  }
-              end
-            end))
-    (Theory.rules theory);
-  (!added, !stats)
+            let key =
+              if datalog then None
+              else
+                trigger_key ~variant rule binding ~witnessed:(fun () ->
+                    witness_exists ?upto ?eval snapshot rule binding)
+            in
+            fire s demanded rule ~datalog binding key))
+    (Theory.rules theory)
 
 (* Dispatch.  [Parallel n] with [n <= 1] is literally the sequential
    Seminaive code path (one domain, no pool, no sharded counters) — the
    parallel machinery only engages at [n >= 2].  The parallel path always
    evaluates with the compiled engine ([?eval] is a sequential-only
    knob); its result is bit-identical to [Seminaive] under the default
-   compiled engine. *)
-let round ?(variant = Restricted) ?strategy ?eval ?(datalog_only = false)
-    ?fired ?since ?record ~(budget : Budget.t) ~round_no theory inst =
-  let strategy =
-    match strategy with Some s -> s | None -> default_strategy ()
+   compiled engine.  [fired] persists across rounds (needed for the
+   oblivious variant, where a trigger must fire exactly once ever);
+   without it the table is per-round, which is enough for the restricted
+   variant because the created witness blocks the trigger in later
+   rounds.  A trip mid-round leaves a partial round behind (best
+   effort). *)
+let round ~variant ~strategy ?eval ~datalog_only ?fired s theory =
+  Obs.Metrics.incr m_rounds;
+  let demanded =
+    match fired with Some t -> t | None -> Hashtbl.create 64
   in
   match strategy with
   | Parallel n when n >= 2 ->
-      parallel_round ~variant ~domains:n ~datalog_only ?fired ?since ?record
-        ~budget ~round_no theory inst
+      parallel_round ~variant ~domains:n ~datalog_only ~demanded s theory
   | Naive | Seminaive | Parallel _ ->
-      sequential_round ~variant ~strategy ?eval ~datalog_only ?fired ?since
-        ?record ~budget ~round_no theory inst
+      sequential_round ~variant ~strategy ?eval ~datalog_only ~demanded s
+        theory
 
 let default_rounds = 64
 let default_elements = 100_000
@@ -587,11 +466,71 @@ let strategy_tag = function
   | Parallel n -> "parallel:" ^ string_of_int n
 let variant_tag = function Restricted -> "restricted" | Oblivious -> "oblivious"
 
-let run ?(variant = Restricted) ?strategy ?eval ?(datalog_only = false)
-    ?watch ?record ?budget ?max_rounds ?max_elements theory base =
-  let strategy =
-    match strategy with Some s -> s | None -> default_strategy ()
+(* The round loop behind every entry point: charge a round, run it,
+   trace it, and stop at the first round that adds nothing or after
+   which [stop] holds of the instance (also checked before the first
+   round).  Rounds are numbered from [from_round + 1].  Returns the
+   outcome, the last productive round, the per-round fact counts (newest
+   first, the final empty round included) and the round at which [stop]
+   held. *)
+let drive ~variant ~strategy ?eval ~datalog_only ?record
+    ?(stop = fun _ -> false) ~budget ~from_round theory inst =
+  let fired = if variant = Oblivious then Some (Hashtbl.create 64) else None in
+  let per_round = ref [] and last = ref from_round and stopped = ref None in
+  let stop_at i =
+    stop inst
+    && begin
+         stopped := Some i;
+         true
+       end
   in
+  (* [frontier] is the previous round's delta size (the whole instance
+     before the first round): what the semi-naive windows feed into the
+     round's joins. *)
+  let rec go round_no frontier =
+    Budget.check_deadline budget;
+    Budget.charge budget Budget.Rounds 1;
+    let probes0 = Eval.probe_count () in
+    let s = sink ?record ~budget ~round_no inst in
+    round ~variant ~strategy ?eval ~datalog_only ?fired s theory;
+    per_round := s.added :: !per_round;
+    Log.debug (fun m -> m "round %d: %d new facts" round_no s.added);
+    if Obs.Trace.enabled () then
+      Obs.Trace.event "chase.round"
+        (("round", Obs.Int round_no)
+        :: ("frontier", Obs.Int frontier)
+        :: ("facts_added", Obs.Int s.added)
+        :: ("nulls_invented", Obs.Int s.nulls)
+        :: ("join_probes", Obs.Int (Eval.probe_count () - probes0))
+        ::
+        (match Budget.remaining_fuel budget Budget.Rounds with
+        | Some n -> [ ("fuel_rounds", Obs.Int n) ]
+        | None -> []));
+    if stop_at round_no then begin
+      last := round_no;
+      Watched
+    end
+    else if s.added = 0 then Fixpoint
+    else begin
+      last := round_no;
+      go (round_no + 1) s.added
+    end
+  in
+  let outcome =
+    try
+      if stop_at from_round then Watched
+      else go (from_round + 1) (Instance.num_facts inst)
+    with Budget.Exhausted r -> Exhausted r
+  in
+  (outcome, !last, !per_round, !stopped)
+
+let strategy_or = function Some s -> s | None -> default_strategy ()
+
+(* [run] with [stop] (an arbitrary condition on the instance) in place
+   of [watch]: what [run] and [certain] both call. *)
+let run_until ?(variant = Restricted) ?strategy ?eval ?(datalog_only = false)
+    ?stop ?record ?budget ?max_rounds ?max_elements theory base =
+  let strategy = strategy_or strategy in
   let budget = effective_budget ?budget ?max_rounds ?max_elements () in
   Obs.Metrics.incr m_runs;
   Obs.Metrics.time t_run @@ fun () ->
@@ -607,98 +546,41 @@ let run ?(variant = Restricted) ?strategy ?eval ?(datalog_only = false)
      (e.g. when re-chasing a previously chased instance) would corrupt
      the delta windows *)
   Instance.reset_fact_births inst;
-  let base_facts = Instance.facts base in
-  let per_round = ref [] in
-  let fired = Hashtbl.create 64 in
-  let rounds = ref 0 in
-  let watch_round = ref None in
-  let watch_hit i =
-    match watch with
-    | None -> false
-    | Some p ->
-        !watch_round = None
-        && Instance.facts_with_pred inst p <> []
-        && begin
-             watch_round := Some i;
-             true
-           end
-  in
-  (* [frontier] is the previous round's delta size (the base instance for
-     round 1): what the semi-naive windows feed into the round's joins. *)
-  let rec go i frontier =
-    Budget.check_deadline budget;
-    Budget.charge budget Budget.Rounds 1;
-    let probes0 = Eval.probe_count () in
-    let added, stats =
-      round ~variant ~strategy ?eval ~datalog_only
-        ?fired:(if variant = Oblivious then Some fired else None)
-        ?record ~budget ~round_no:(i + 1) theory inst
-    in
-    per_round := added :: !per_round;
-    rounds := i + 1;
-    Log.debug (fun m -> m "round %d: %d new facts" (i + 1) added);
-    if Obs.Trace.enabled () then
-      Obs.Trace.event "chase.round"
-        (("round", Obs.Int (i + 1))
-        :: ("frontier", Obs.Int frontier)
-        :: ("facts_added", Obs.Int added)
-        :: ("nulls_invented", Obs.Int stats.nulls)
-        :: ("join_probes", Obs.Int (Eval.probe_count () - probes0))
-        ::
-        (match Budget.remaining_fuel budget Budget.Rounds with
-        | Some n -> [ ("fuel_rounds", Obs.Int n) ]
-        | None -> []));
-    if watch_hit (i + 1) then Watched
-    else if added = 0 then begin
-      (* the empty round is not counted: [rounds] is the number of
-         productive rounds, as before *)
-      rounds := i;
-      Fixpoint
-    end
-    else go (i + 1) added
-  in
-  let outcome =
-    try if watch_hit 0 then Watched else go 0 (List.length base_facts)
-    with Budget.Exhausted r -> Exhausted r
+  let outcome, rounds, per_round, watch_round =
+    drive ~variant ~strategy ?eval ~datalog_only ?record ?stop ~budget
+      ~from_round:0 theory inst
   in
   if Obs.Trace.enabled () then begin
-    Obs.Trace.attr "rounds" (Obs.Int !rounds);
+    Obs.Trace.attr "rounds" (Obs.Int rounds);
     Obs.Trace.attr "outcome" (Obs.Str (outcome_tag outcome))
   end;
   {
     instance = inst;
-    rounds = !rounds;
+    rounds;
     outcome;
-    base_facts;
-    new_facts_per_round = !per_round;
-    watch_round = !watch_round;
+    base_facts = Instance.facts base;
+    new_facts_per_round = per_round;
+    watch_round;
   }
+
+let run ?variant ?strategy ?eval ?datalog_only ?watch ?record ?budget
+    ?max_rounds ?max_elements theory base =
+  let stop =
+    Option.map (fun p inst -> Instance.facts_with_pred inst p <> []) watch
+  in
+  run_until ?variant ?strategy ?eval ?datalog_only ?stop ?record ?budget
+    ?max_rounds ?max_elements theory base
 
 (* Resume a chase *in place* on an instance whose committed prefix is
    already saturated up to [from_round] — the engine behind incremental
    maintenance (Maintain).  No copy, no birth reset: the caller has
    staged its update delta at birth [from_round], and rounds are numbered
    from [from_round + 1] so the existing stamps keep driving the
-   semi-naive windows.
-
-   With [full_first] the first resumed round joins the whole committed
-   prefix ([since = 0]) instead of the last delta: after deletions, a
-   violated trigger can have an all-old body (the deletion removed its
-   witness, not a body fact), which no delta window would ever re-visit.
-   [rule_filter] restricts that one full-join round to the rules that can
-   actually be violated — the caller must guarantee every rule it filters
-   out is still satisfied (Maintain passes the predicate-level cone
-   filter; DESIGN.md section 14).  Subsequent rounds always run the full
-   theory semi-naively, so cascades re-enter the normal delta discipline.
-
-   Restricted variant only: the oblivious chase's fired-trigger table
-   does not survive across runs. *)
+   semi-naive windows.  Restricted variant only: the oblivious chase's
+   fired-trigger table does not survive across runs. *)
 let resume ?strategy ?eval ?record ?budget ?max_rounds ?max_elements
-    ?(full_first = false) ?(rule_filter = fun _ -> true) ~from_round theory
-    inst =
-  let strategy =
-    match strategy with Some s -> s | None -> default_strategy ()
-  in
+    ~from_round theory inst =
+  let strategy = strategy_or strategy in
   let budget = effective_budget ?budget ?max_rounds ?max_elements () in
   Obs.Metrics.incr m_runs;
   Obs.Trace.span "chase.resume" @@ fun () ->
@@ -706,37 +588,16 @@ let resume ?strategy ?eval ?record ?budget ?max_rounds ?max_elements
     Obs.Trace.attr "strategy" (Obs.Str (strategy_tag strategy));
     Obs.Trace.attr "from_round" (Obs.Int from_round)
   end;
-  let first_theory =
-    if full_first then
-      Theory.make (List.filter rule_filter (Theory.rules theory))
-    else theory
+  let outcome, rounds, per_round, _ =
+    drive ~variant:Restricted ~strategy ?eval ~datalog_only:false ?record
+      ~budget ~from_round theory inst
   in
-  let per_round = ref [] in
-  let rounds = ref from_round in
-  let rec go i =
-    Budget.check_deadline budget;
-    Budget.charge budget Budget.Rounds 1;
-    let round_no = i + 1 in
-    let first = i = from_round in
-    let since = if first && full_first then Some 0 else None in
-    let th = if first && full_first then first_theory else theory in
-    let added, _stats =
-      round ~strategy ?eval ?since ?record ~budget ~round_no th inst
-    in
-    per_round := added :: !per_round;
-    if added = 0 then Fixpoint
-    else begin
-      rounds := round_no;
-      go round_no
-    end
-  in
-  let outcome = try go from_round with Budget.Exhausted r -> Exhausted r in
   {
     instance = inst;
-    rounds = !rounds;
+    rounds;
     outcome;
     base_facts = [];
-    new_facts_per_round = !per_round;
+    new_facts_per_round = per_round;
     watch_round = None;
   }
 
@@ -765,7 +626,8 @@ let saturate_datalog ?strategy ?eval ?budget ?(max_rounds = 10_000) theory
   run ~datalog_only:true ?strategy ?eval ?budget ~max_rounds theory base
 
 (* Certain answering by chase: does Chase(D, T) |= q, and at which depth?
-   Checks the query after every round. *)
+   The query is [run]'s stop condition, checked before the first round
+   and after every round. *)
 type certainty =
   | Entailed of int (* least chase depth at which the query held *)
   | Not_entailed (* chase reached a fixpoint without satisfying q *)
@@ -773,34 +635,13 @@ type certainty =
       (* this budget exhausted after that many rounds *)
 
 let certain ?strategy ?eval ?budget ?max_rounds ?max_elements theory base q =
-  let budget = effective_budget ?budget ?max_rounds ?max_elements () in
   Obs.Trace.span "chase.certain" @@ fun () ->
-  let inst = Instance.copy base in
-  Instance.reset_fact_births inst;
-  let rounds = ref 0 in
-  try
-    if Eval.holds ?engine:eval inst q then Entailed 0
-    else begin
-      let rec go i =
-        Budget.check_deadline budget;
-        Budget.charge budget Budget.Rounds 1;
-        let probes0 = Eval.probe_count () in
-        let added, stats =
-          round ?strategy ?eval ~budget ~round_no:(i + 1) theory inst
-        in
-        rounds := i + 1;
-        if Obs.Trace.enabled () then
-          Obs.Trace.event "chase.round"
-            [
-              ("round", Obs.Int (i + 1));
-              ("facts_added", Obs.Int added);
-              ("nulls_invented", Obs.Int stats.nulls);
-              ("join_probes", Obs.Int (Eval.probe_count () - probes0));
-            ];
-        if Eval.holds ?engine:eval inst q then Entailed (i + 1)
-        else if added = 0 then Not_entailed
-        else go (i + 1)
-      in
-      go 0
-    end
-  with Budget.Exhausted r -> Unknown (r, !rounds)
+  let r =
+    run_until ?strategy ?eval ?budget ?max_rounds ?max_elements
+      ~stop:(fun inst -> Eval.holds ?engine:eval inst q)
+      theory base
+  in
+  match (r.watch_round, r.outcome) with
+  | Some depth, _ -> Entailed depth
+  | None, Exhausted res -> Unknown (res, r.rounds)
+  | None, (Fixpoint | Watched) -> Not_entailed

@@ -88,11 +88,28 @@ type record =
 (** Derivation hook: called once per fact the chase actually adds, with
     the round it was added in, the rule that fired and the body binding
     the trigger matched under (for existential rules the binding covers
-    the body variables only — the invented nulls are in the fact).  Both
-    round engines call it at their mutation sites in the sequential
-    enumeration order, so the recorded stream is bit-identical across
-    [Seminaive] and [Parallel n].  Incremental maintenance (Maintain)
-    uses it to keep first-derivation edges without a separate replay. *)
+    the body variables only — the invented nulls are in the fact).
+    {!commit} calls it, in the sequential enumeration order under every
+    strategy, so the recorded stream is bit-identical across
+    [Seminaive] and [Parallel n].  Provenance and incremental
+    maintenance (Maintain) use it to keep first-derivation edges. *)
+
+type sink
+(** Where commits land: an instance, the governor they are charged to,
+    the birth round stamped on what they add, and the [record] hook. *)
+
+val sink :
+  ?record:record -> budget:Budget.t -> round_no:int -> Instance.t -> sink
+
+val commit : sink -> Rule.t -> Eval.binding -> unit
+(** Fire one trigger whose body matched under the binding: instantiate
+    every head atom, inventing one labelled null per existential
+    variable (charged to [Elements]), and add the facts (charged to
+    [Facts], each new one passed to the [record] hook).  The caller has
+    already made the restricted chase's witness check.  This is the one
+    mutation site of the chase rounds.  It is exposed for Maintain's
+    repair sweep, which refires broken triggers at its staging round.
+    @raise Budget.Exhausted when a charge trips. *)
 
 val run :
   ?variant:variant ->
@@ -117,8 +134,6 @@ val resume :
   ?budget:Budget.t ->
   ?max_rounds:int ->
   ?max_elements:int ->
-  ?full_first:bool ->
-  ?rule_filter:(Rule.t -> bool) ->
   from_round:int ->
   Theory.t -> Instance.t -> result
 (** Resume the restricted chase *in place* on an instance whose
@@ -126,12 +141,6 @@ val resume :
     copy, no birth reset, rounds numbered from [from_round + 1].  The
     caller stages its update delta at birth [from_round] beforehand so
     the semi-naive windows pick it up as the first frontier.
-
-    [full_first] makes the first resumed round a full-window join
-    ([since = 0]) — required after deletions, whose violated triggers
-    can have all-old bodies that no delta window re-visits.
-    [rule_filter] restricts that one round; the caller must guarantee
-    every rule filtered out is still satisfied (DESIGN.md section 14).
 
     The result's [instance] is the input (mutated); [rounds] is the
     absolute number of the last productive round ([from_round] if none);

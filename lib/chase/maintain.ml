@@ -76,40 +76,6 @@ let m_inserted = Obs.Metrics.counter "maintain.facts_inserted"
 let m_bailouts = Obs.Metrics.counter "maintain.bailouts"
 let m_resumed = Obs.Metrics.counter "maintain.rounds_resumed"
 
-(* Instantiated body facts of a recorded trigger (the Provenance
-   convention: constants resolved by name, variables through the
-   binding). *)
-let body_facts inst binding atoms =
-  List.map
-    (fun a ->
-      let ids =
-        List.map
-          (function
-            | Term.Cst c -> (
-                match Instance.const_opt inst c with
-                | Some id -> id
-                | None -> invalid_arg "Maintain: unknown constant")
-            | Term.Var x -> (
-                match Smap.find_opt x binding with
-                | Some id -> id
-                | None -> invalid_arg "Maintain: unbound body variable"))
-          (Atom.args a)
-      in
-      Fact.make (Atom.pred a) (Array.of_list ids))
-    atoms
-
-(* Instantiate a head atom under a binding, creating terms for
-   existential variables via [fresh] (Chase.instantiate's convention). *)
-let instantiate inst binding fresh atom =
-  let id_of = function
-    | Term.Cst c -> Instance.const inst c
-    | Term.Var x -> (
-        match Smap.find_opt x binding with
-        | Some id -> id
-        | None -> fresh x)
-  in
-  Fact.make (Atom.pred atom) (Array.of_list (List.map id_of (Atom.args atom)))
-
 (* Resolve a ground atom to a fact of [inst], if its constants are all
    interned there.  @raise Invalid_argument on a variable. *)
 let fact_of_atom inst a =
@@ -124,42 +90,23 @@ let fact_of_atom inst a =
   in
   go [] (Atom.args a)
 
-(* Drain a recording buffer into the reasons table, first derivation
-   wins, and classify each added fact against the overdeleted cone. *)
-let absorb_records inst reasons ?dead buf =
-  let rederived = ref 0 and fresh = ref 0 in
-  List.iter
-    (fun (round, rule, binding, f) ->
-      (match dead with
-      | Some d when Fact.Table.mem d f -> incr rederived
-      | _ -> incr fresh);
-      if not (Fact.Table.mem reasons f) then
-        Fact.Table.replace reasons f
-          (Provenance.Derived
-             {
-               rule = Rule.name rule;
-               round;
-               body = body_facts inst binding (Rule.body rule);
-             }))
-    (List.rev buf);
-  (!rederived, !fresh)
-
+(* [Provenance.run] is [Chase.run] with the first-derivation edges
+   recorded: exactly the state maintenance starts from. *)
 let saturate ?strategy ?eval ?budget ?max_rounds ?max_elements theory db =
-  let buf = ref [] in
-  let record ~round ~rule ~binding f =
-    buf := (round, rule, binding, f) :: !buf
+  let p =
+    Provenance.run ?strategy ?eval ?budget ?max_rounds ?max_elements theory db
   in
-  let res =
-    Chase.run ?strategy ?eval ?budget ?max_rounds ?max_elements ~record
-      theory db
+  let outcome =
+    match p.Provenance.tripped with
+    | Some r -> Chase.Exhausted r
+    | None -> Chase.Fixpoint
   in
-  let inst = res.Chase.instance in
-  let reasons = Fact.Table.create (max 64 (Instance.num_facts inst)) in
-  List.iter
-    (fun f -> Fact.Table.replace reasons f Provenance.Given)
-    res.Chase.base_facts;
-  ignore (absorb_records inst reasons !buf);
-  { inst; reasons; rounds = res.Chase.rounds; outcome = res.Chase.outcome }
+  {
+    inst = p.Provenance.instance;
+    reasons = p.Provenance.reasons;
+    rounds = p.Provenance.rounds;
+    outcome;
+  }
 
 (* Apply an update batch to a *base* database (retractions first, then
    insertions, so a fact in both ends up present).  Returns
@@ -246,21 +193,32 @@ let apply ?strategy ?eval ?budget ?max_rounds ?max_elements
             | Some f -> Fact.Table.replace state.reasons f Provenance.Given
             | None -> assert false)
           insert;
-        let buf = ref [] in
+        (* every fact the repair and the resumed rounds add gets its
+           first derivation recorded, and is counted as rederived (it was
+           in the cone) or fresh *)
+        let rederived = ref 0 and fresh = ref 0 in
+        let note = Provenance.record state.reasons inst in
         let record ~round ~rule ~binding f =
-          buf := (round, rule, binding, f) :: !buf
+          incr (if Fact.Table.mem dead f then rederived else fresh);
+          note ~round ~rule ~binding f
         in
         (* Head-driven repair.  A broken trigger is one whose witness
            check newly fails, and every witness it ever had is in the
            cone — so for each cone fact, unify it with each rule head
            (existential slots unconstrained: the old null ids are gone
            and must not leak) and re-evaluate the body seeded with the
-           recovered binding.  Rederivations land at birth [r0], making
-           them part of the first resumed delta window; a dead fact
-           rederivable only via another dead fact is caught by the
-           cascading rounds, so one repair sweep suffices. *)
+           recovered binding.  A datalog trigger whose body holds is
+           refired outright, an existential one iff no surviving witness
+           does — the live rounds' check.  Rederivations land at birth
+           [r0], making them part of the first resumed delta window; a
+           dead fact rederivable only via another dead fact is caught by
+           the cascading rounds, so one repair sweep suffices. *)
         if deleted > 0 then begin
-          let b = Option.value budget ~default:Budget.unlimited in
+          let s =
+            Chase.sink ~record
+              ~budget:(Option.value budget ~default:Budget.unlimited)
+              ~round_no:r0 inst
+          in
           let unify_head exist atom f =
             let fargs = Fact.args f in
             let rec go i binding = function
@@ -289,6 +247,12 @@ let apply ?strategy ?eval ?budget ?max_rounds ?max_elements
               let exist = Rule.existential_vars rule in
               let frontier = Rule.frontier rule in
               let heads = Rule.head rule in
+              let witnessed bnd =
+                (not (Rule.SS.is_empty exist))
+                && Eval.satisfiable
+                     ~init:(Smap.filter (fun x _ -> Rule.SS.mem x frontier) bnd)
+                     ?engine:eval inst heads
+              in
               List.iter
                 (fun f ->
                   List.iter
@@ -301,67 +265,9 @@ let apply ?strategy ?eval ?budget ?max_rounds ?max_elements
                               Eval.first_solution ~init ?engine:eval inst
                                 (Rule.body rule)
                             with
-                            | None -> ()
-                            | Some bnd when Rule.is_datalog rule ->
-                                (* the unifier bound every head variable,
-                                   so the rederived head IS [f] *)
-                                if Instance.add_fact ~birth:r0 inst f
-                                then begin
-                                  Budget.charge b Budget.Facts 1;
-                                  record ~round:r0 ~rule ~binding:bnd f
-                                end
-                            | Some bnd ->
-                                let finit =
-                                  Smap.filter
-                                    (fun x _ -> Rule.SS.mem x frontier)
-                                    bnd
-                                in
-                                if
-                                  not
-                                    (Eval.satisfiable ~init:finit
-                                       ?engine:eval inst heads)
-                                then begin
-                                  (* refire: one shared set of fresh
-                                     nulls, as the live chase does *)
-                                  let parent =
-                                    List.fold_left
-                                      (fun acc a ->
-                                        match acc with
-                                        | Some _ -> acc
-                                        | None ->
-                                            List.fold_left
-                                              (fun acc' t ->
-                                                match (acc', t) with
-                                                | Some _, _ -> acc'
-                                                | None, Term.Var x ->
-                                                    Smap.find_opt x finit
-                                                | None, Term.Cst _ -> None)
-                                              None (Atom.args a))
-                                      None heads
-                                  in
-                                  let cache = Hashtbl.create 4 in
-                                  let fresh x =
-                                    match Hashtbl.find_opt cache x with
-                                    | Some id -> id
-                                    | None ->
-                                        Budget.charge b Budget.Elements 1;
-                                        let id =
-                                          Instance.fresh_null inst ~birth:r0
-                                            ~rule:(Rule.name rule) ~parent
-                                        in
-                                        Hashtbl.add cache x id;
-                                        id
-                                  in
-                                  List.iter
-                                    (fun ha ->
-                                      let g = instantiate inst bnd fresh ha in
-                                      if Instance.add_fact ~birth:r0 inst g
-                                      then begin
-                                        Budget.charge b Budget.Facts 1;
-                                        record ~round:r0 ~rule ~binding:bnd g
-                                      end)
-                                    heads
-                                end))
+                            | Some bnd when not (witnessed bnd) ->
+                                Chase.commit s rule bnd
+                            | Some _ | None -> ()))
                     heads)
                 cone_facts)
             (Theory.rules theory)
@@ -380,17 +286,16 @@ let apply ?strategy ?eval ?budget ?max_rounds ?max_elements
                failed request *)
             raise (Budget.Exhausted r)
         | Chase.Watched -> assert false);
-        let rederived, fresh = absorb_records inst state.reasons ~dead !buf in
         let resumed = max 0 (res.Chase.rounds - r0) in
         Obs.Metrics.add m_deleted deleted;
-        Obs.Metrics.add m_rederived rederived;
-        Obs.Metrics.add m_inserted (!inserted_base + fresh);
+        Obs.Metrics.add m_rederived !rederived;
+        Obs.Metrics.add m_inserted (!inserted_base + !fresh);
         Obs.Metrics.add m_resumed resumed;
         ( { state with rounds = res.Chase.rounds; outcome = Chase.Fixpoint },
           {
             deleted;
-            rederived;
-            inserted = !inserted_base + fresh;
+            rederived = !rederived;
+            inserted = !inserted_base + !fresh;
             resumed_rounds = resumed;
             bailed_out = false;
           } )

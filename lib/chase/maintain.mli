@@ -56,7 +56,8 @@ val saturate :
   ?max_rounds:int ->
   ?max_elements:int ->
   Theory.t -> Instance.t -> state
-(** [Chase.run] with derivation recording; same truncation semantics
+(** {!Provenance.run} (that is, [Chase.run] with derivation recording)
+    as a maintainable state; same truncation semantics
     (the state's [outcome] may be [Exhausted _], and such a state is
     maintained by re-chasing on every {!apply}). *)
 

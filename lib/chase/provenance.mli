@@ -1,6 +1,7 @@
-(** Derivation provenance: a recording replay of the chase.  For every
-    fact, the first rule application that produced it; derivation trees;
-    derivation depth (the quantity the BDD property bounds, Section 1.1). *)
+(** Derivation provenance: the chase run with its [record] hook.  For
+    every fact, the first rule application that produced it; derivation
+    trees; derivation depth (the quantity the BDD property bounds,
+    Section 1.1). *)
 
 open Bddfc_budget
 open Bddfc_logic
@@ -16,17 +17,24 @@ type t = {
   rounds : int;
   saturated : bool;
   tripped : Budget.resource option;
-      (** which budget stopped the replay, if any *)
+      (** which budget stopped the chase, if any *)
 }
 
 val run :
   ?strategy:Chase.strategy -> ?eval:Bddfc_hom.Eval.engine ->
   ?budget:Budget.t -> ?max_rounds:int -> ?max_elements:int ->
   Theory.t -> Instance.t -> t
-(** Replay the chase, recording reasons.  [strategy] selects the same
-    naive/semi-naive round evaluation as {!Chase.run} (default
-    [Seminaive]); the recorded reasons are identical either way up to
-    tie-breaks between same-round derivations of one fact. *)
+(** {!Chase.run} with reasons recorded: the same instance, rounds and
+    budget trips, under the same arguments and defaults.  Every fact of
+    the instance has a reason; the recorded reasons of different
+    strategies agree up to tie-breaks between same-round derivations of
+    one fact. *)
+
+val record : reason Fact.Table.t -> Instance.t -> Chase.record
+(** [record reasons inst] is a {!Chase.record} hook that files the first
+    derivation of every fact it is given into [reasons], resolving the
+    body against [inst] (the instance being chased).  Facts that already
+    have a reason keep it. *)
 
 val reason_of : t -> Fact.t -> reason option
 

@@ -49,7 +49,9 @@ dune exec test/main.exe -- test maintain
 # the multi-domain lane: the whole tier-1 suite again with every
 # defaulted chase strategy forced to Parallel 4 (the env hook behind
 # Chase.default_strategy), so each suite doubles as a differential
-# oracle against its own sequential run above
+# oracle against its own sequential run above; Provenance.run and
+# Maintain.saturate default to it too, so provenance runs the parallel
+# engine here
 BDDFC_TEST_DOMAINS=4 dune runtest --force
 
 # the structural-containment lane: the whole tier-1 suite again with
@@ -63,7 +65,9 @@ BDDFC_TEST_HC=structural dune runtest --force
 dune build @test/cli/runtest
 
 # the strategy agreement smoke: exits nonzero if the two chase
-# evaluation strategies diverge on any bench workload or zoo entry
+# evaluation strategies diverge on any bench workload or zoo entry, or
+# if Provenance.run differs from Chase.run there (fact or element
+# count) or leaves a fact without a reason
 dune exec bench/main.exe -- --only strategy
 
 # the join-engine smoke: compiled plans and the reference interpreter

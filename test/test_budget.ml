@@ -156,6 +156,27 @@ let test_provenance_budget () =
     p.Provenance.tripped;
   check Alcotest.int "partial rounds recorded" 3 p.Provenance.rounds
 
+let test_provenance_fact_budget () =
+  (* Provenance.run charges added facts like Chase.run and trips Facts
+     at the same round; the deadline only bounds a run that ignores the
+     fact budget *)
+  let go run = run (Budget.v ~facts:5 ~deadline_s:5. ()) in
+  let c =
+    go (fun budget -> Chase.run ~budget (th diverging) (db "e(a,b)."))
+  in
+  let p =
+    go (fun budget -> Provenance.run ~budget (th diverging) (db "e(a,b)."))
+  in
+  (match c.Chase.outcome with
+  | Chase.Exhausted Budget.Facts -> ()
+  | o -> Alcotest.failf "chase: expected facts, got %a" Chase.pp_outcome o);
+  check (Alcotest.option resource) "provenance tripped facts"
+    (Some Budget.Facts) p.Provenance.tripped;
+  check Alcotest.int "same round count" c.Chase.rounds p.Provenance.rounds;
+  check Alcotest.int "same facts"
+    (Instance.num_facts c.Chase.instance)
+    (Instance.num_facts p.Provenance.instance)
+
 (* ------------------------------ rewriting ------------------------------ *)
 
 let test_rewrite_step_fuel () =
@@ -469,6 +490,8 @@ let suite =
       tc "chase: certain reports the tripped budget"
         test_certain_reports_budget;
       tc "provenance: budget recorded" test_provenance_budget;
+      tc "provenance: fact fuel trips like the chase"
+        test_provenance_fact_budget;
       tc "rewrite: step fuel" test_rewrite_step_fuel;
       tc "rewrite: trap via governor" test_rewrite_deadline_via_governor;
       tc "kappa: tripped propagates" test_kappa_tripped_propagates;
