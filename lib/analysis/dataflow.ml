@@ -17,7 +17,7 @@
    extension.  Dropped rules then only ever write predicates no kept
    rule (and no query atom) reads, which is why the sliced chase agrees
    with the unsliced one on all relevant facts, round by round
-   (DESIGN.md section 12). *)
+   (DESIGN.md section 11). *)
 
 open Bddfc_logic
 module Obs = Bddfc_obs.Obs

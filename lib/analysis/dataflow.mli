@@ -25,7 +25,7 @@
     exactly the same facts over relevant predicates, round by round, as
     the unsliced chase (up to null identity).  Certain answers, and the
     depth at which they are reached, are preserved exactly
-    (DESIGN.md section 12 gives the model-theoretic argument). *)
+    (DESIGN.md section 11 gives the model-theoretic argument). *)
 
 open Bddfc_logic
 module Termination = Bddfc_chase.Termination

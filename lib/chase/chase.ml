@@ -53,22 +53,6 @@ type variant =
 type strategy =
   | Naive
   | Seminaive
-  | Parallel of int
-
-(* The default strategy honours BDDFC_TEST_DOMAINS (n >= 2 -> Parallel n)
-   so the CI multi-domain lane can push the whole tier-1 suite through
-   the parallel engine without touching call sites; read once, lazily. *)
-let default_strategy =
-  let v =
-    lazy
-      (match Sys.getenv_opt "BDDFC_TEST_DOMAINS" with
-      | Some s -> (
-          match int_of_string_opt (String.trim s) with
-          | Some n when n >= 2 -> Parallel n
-          | _ -> Seminaive)
-      | None -> Seminaive)
-  in
-  fun () -> Lazy.force v
 
 type outcome =
   | Fixpoint (* no trigger fired: the result is a model *)
@@ -163,14 +147,6 @@ let oblivious_key rule binding =
          (fun (x, id) -> x ^ ":" ^ string_of_int id)
          (Smap.bindings binding))
 
-(* The existential-trigger filter of both round engines: [None] when
-   the round's state already holds a witness (restricted variant only),
-   otherwise the key under which the trigger fires at most once. *)
-let trigger_key ~variant ~witnessed rule binding =
-  match variant with
-  | Oblivious -> Some (oblivious_key rule binding)
-  | Restricted -> if witnessed () then None else Some (demand_key rule binding)
-
 type record =
   round:int -> rule:Rule.t -> binding:Eval.binding -> Fact.t -> unit
 
@@ -203,15 +179,14 @@ let parent rule binding =
    inventing one null per existential variable (charged to Elements),
    and add the facts (charged to Facts, each new one reported to the
    [record] hook).  A datalog head has no existential variable, so it
-   only adds.  This is the one mutation site of both round engines and
-   of Maintain's repair sweep. *)
+   only adds.  This is the one mutation site of the chase round and of
+   Maintain's repair sweep. *)
 let commit s rule binding =
   let nulls = ref [] in
   let fresh x =
     match List.assoc_opt x !nulls with
     | Some id -> id
     | None ->
-        Shard.Check.mutating ();
         Budget.charge s.budget Budget.Elements 1;
         let id =
           Instance.fresh_null s.inst ~birth:s.round_no ~rule:(Rule.name rule)
@@ -225,7 +200,6 @@ let commit s rule binding =
   List.iter
     (fun atom ->
       let f = instantiate s.inst binding fresh atom in
-      Shard.Check.mutating ();
       if Instance.add_fact ~birth:s.round_no s.inst f then begin
         s.added <- s.added + 1;
         Obs.Metrics.incr m_facts;
@@ -234,215 +208,61 @@ let commit s rule binding =
       end)
     (Rule.head rule)
 
-(* Commit a trigger that passed the round's filter: datalog triggers
-   always, existential ones once per key per round ([demanded]). *)
-let fire s demanded rule ~datalog binding key =
-  if datalog then commit s rule binding
-  else
-    match key with
-    | Some k when not (Hashtbl.mem demanded k) ->
-        Hashtbl.replace demanded k ();
-        commit s rule binding
-    | Some _ | None -> ()
-
-(* ------------------------------------------------------------------ *)
-(* The parallel round                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* The [Parallel n] round is the semi-naive round, fork-joined:
-
-     phase A (coordinator)  build each rule's passes with their root
-                            access paths and materialized root candidates
-                            (Eval.passes — the deterministic first step
-                            of the sequential enumeration), and chunk the
-                            candidate ranges into jobs;
-     phase B (pool)         evaluate jobs read-only against the committed
-                            prefix: enumerate bindings (Eval.pass_run),
-                            precompute witness verdicts and demand keys,
-                            collect into per-job slots (counters divert
-                            to per-domain shards, merged at the barrier);
-     phase C (coordinator)  replay the candidates in job order — which is
-                            (rule, pass, root candidate, sub-walk) order,
-                            i.e. exactly the sequential enumeration
-                            order — through [fire], the sequential
-                            round's commit path.
-
-   Everything order-sensitive (fact insertion, demand dedup, null ids,
-   fuel-trap charge points) happens in phase C on one domain in the
-   sequential order, so the result instance is bit-identical to the
-   Seminaive strategy's for every domain count and any scheduling.
-   Workers never charge the governor (they poll the non-ticking
-   Budget.deadline_expired and bail early); the canonical trip happens at
-   a coordinator charge point.  Phase B may only *read* the instance:
-   mid-round commits do not exist yet, and the birth windows already
-   guarantee the sequential round's evaluation never sees its own round's
-   writes — the invariant that makes this fork-join sound (DESIGN.md
-   section 11). *)
-
-type pjob = {
-  pj_rule : Rule.t;
-  pj_datalog : bool;
-  pj_frontier : Rule.SS.t;
-  pj_head_prep : Eval.prepared option; (* restricted existential only *)
-  pj_pass : Eval.pass;
-  pj_lo : int;
-  pj_hi : int; (* root-candidate range [lo, hi) *)
-  mutable pj_out : (Eval.binding * string option) list;
-      (* bindings and their [trigger_key]s, enumeration order *)
-}
-
-let chunks_per_domain = 4
-
-let parallel_round ~variant ~domains ~datalog_only ~demanded s theory =
-  let inst = s.inst and upto = s.round_no in
-  let pool = Shard.shared_pool domains in
-  (* phase A *)
-  let jobs = ref [] in
-  List.iter
-    (fun rule ->
-      if (not datalog_only) || Rule.is_datalog rule then begin
-        let body_prep = Eval.prepare (Rule.body rule) in
-        let is_datalog = Rule.is_datalog rule in
-        let head_prep =
-          if is_datalog || variant = Oblivious then None
-          else Some (Eval.prepare (Rule.head rule))
-        in
-        let frontier = Rule.frontier rule in
-        List.iter
-          (fun pass ->
-            let ncands = Eval.pass_candidates pass in
-            if ncands > 0 then begin
-              let nchunks = min ncands (domains * chunks_per_domain) in
-              let base = ncands / nchunks and rem = ncands mod nchunks in
-              let lo = ref 0 in
-              for c = 0 to nchunks - 1 do
-                let len = base + if c < rem then 1 else 0 in
-                jobs :=
-                  {
-                    pj_rule = rule;
-                    pj_datalog = is_datalog;
-                    pj_frontier = frontier;
-                    pj_head_prep = head_prep;
-                    pj_pass = pass;
-                    pj_lo = !lo;
-                    pj_hi = !lo + len;
-                    pj_out = [];
-                  }
-                  :: !jobs;
-                lo := !lo + len
-              done
-            end)
-          (Eval.passes ~since:(upto - 1) ~upto inst body_prep)
-      end)
-    (Theory.rules theory);
-  let jobs = Array.of_list (List.rev !jobs) in
-  Shard.Check.phase_a ~facts:(Instance.num_facts inst)
-    ~elements:(Instance.num_elements inst);
-  (* phase B *)
-  let work j =
-    let job = jobs.(j) in
-    Shard.Check.observe ~facts:(Instance.num_facts inst)
-      ~elements:(Instance.num_elements inst);
-    if not (Budget.deadline_expired s.budget) then begin
-      let out = ref [] in
-      let yield =
-        if job.pj_datalog then fun binding -> out := (binding, None) :: !out
-        else fun binding ->
-          let witnessed () =
-            Eval.satisfiable_prepared
-              ~init:(frontier_init job.pj_frontier binding)
-              ~upto inst
-              (Option.get job.pj_head_prep)
-          in
-          out := (binding, trigger_key ~variant ~witnessed job.pj_rule binding)
-                 :: !out
-      in
-      let c = ref job.pj_lo in
-      while !c < job.pj_hi && not (Budget.deadline_expired s.budget) do
-        Eval.pass_run inst job.pj_pass ~cand:!c yield;
-        incr c
-      done;
-      job.pj_out <- List.rev !out
-    end
-  in
-  Obs.Metrics.Shard.start ();
-  Fun.protect
-    ~finally:(fun () -> Obs.Metrics.Shard.stop_and_merge ())
-    (fun () -> Shard.run pool ~njobs:(Array.length jobs) work);
-  (* Workers bail (truncating their pj_out) when the deadline passes; a
-     truncated round must surface as exhaustion, never as a bogus
-     zero-added fixpoint, so the canonical raising check sits at the
-     join — guarded by the pure probe, because check_deadline also
-     ticks the fuel trap and an unconditional call would shift trap
-     points relative to the sequential engine. *)
-  if Budget.deadline_expired s.budget then Budget.check_deadline s.budget;
-  (* phase C *)
-  Array.iter
-    (fun job ->
-      List.iter
-        (fun (binding, key) ->
-          fire s demanded job.pj_rule ~datalog:job.pj_datalog binding key)
-        job.pj_out)
-    jobs
-
 (* One simultaneous chase round into [s].  Body evaluation and witness
    checks read the state at the start of the round: a full copy under
    the Naive strategy, the committed prefix of the instance itself
    (births < round_no, in place) under Seminaive.  Under Seminaive only
    bindings with >= 1 body atom in the previous round's delta are
    enumerated — every other binding already fired (or was
-   witness-blocked) in an earlier round. *)
-let sequential_round ~variant ~strategy ?eval ~datalog_only ~demanded s
-    theory =
+   witness-blocked) in an earlier round.
+
+   Datalog triggers always commit; an existential trigger commits at
+   most once per key in [demanded]: its demanded head instance
+   (restricted variant, and only when the round's state holds no
+   witness) or its body homomorphism (oblivious).  [fired] persists
+   [demanded] across rounds (needed for the oblivious variant, where a
+   trigger must fire exactly once ever); without it the table is
+   per-round, which is enough for the restricted variant because the
+   created witness blocks the trigger in later rounds.  A trip mid-round
+   leaves a partial round behind (best effort). *)
+let round ~variant ~strategy ?eval ~datalog_only ?fired s theory =
+  Obs.Metrics.incr m_rounds;
+  let demanded =
+    match fired with Some t -> t | None -> Hashtbl.create 64
+  in
   let inst = s.inst and round_no = s.round_no in
   let snapshot, upto =
     match strategy with
     | Naive -> (Instance.copy inst, None)
-    | Seminaive | Parallel _ -> (inst, Some round_no)
+    | Seminaive -> (inst, Some round_no)
   in
   let iter_bindings rule yield =
     match strategy with
     | Naive -> Eval.iter_solutions ?engine:eval snapshot (Rule.body rule) yield
-    | Seminaive | Parallel _ ->
+    | Seminaive ->
         Eval.iter_solutions_delta ~since:(round_no - 1) ~upto:round_no
           ?engine:eval inst (Rule.body rule) yield
+  in
+  let key rule binding =
+    match variant with
+    | Oblivious -> Some (oblivious_key rule binding)
+    | Restricted ->
+        if witness_exists ?upto ?eval snapshot rule binding then None
+        else Some (demand_key rule binding)
   in
   List.iter
     (fun rule ->
       let datalog = Rule.is_datalog rule in
       if (not datalog_only) || datalog then
         iter_bindings rule (fun binding ->
-            let key =
-              if datalog then None
-              else
-                trigger_key ~variant rule binding ~witnessed:(fun () ->
-                    witness_exists ?upto ?eval snapshot rule binding)
-            in
-            fire s demanded rule ~datalog binding key))
+            if datalog then commit s rule binding
+            else
+              match key rule binding with
+              | Some k when not (Hashtbl.mem demanded k) ->
+                  Hashtbl.replace demanded k ();
+                  commit s rule binding
+              | Some _ | None -> ()))
     (Theory.rules theory)
-
-(* Dispatch.  [Parallel n] with [n <= 1] is literally the sequential
-   Seminaive code path (one domain, no pool, no sharded counters) — the
-   parallel machinery only engages at [n >= 2].  The parallel path always
-   evaluates with the compiled engine ([?eval] is a sequential-only
-   knob); its result is bit-identical to [Seminaive] under the default
-   compiled engine.  [fired] persists across rounds (needed for the
-   oblivious variant, where a trigger must fire exactly once ever);
-   without it the table is per-round, which is enough for the restricted
-   variant because the created witness blocks the trigger in later
-   rounds.  A trip mid-round leaves a partial round behind (best
-   effort). *)
-let round ~variant ~strategy ?eval ~datalog_only ?fired s theory =
-  Obs.Metrics.incr m_rounds;
-  let demanded =
-    match fired with Some t -> t | None -> Hashtbl.create 64
-  in
-  match strategy with
-  | Parallel n when n >= 2 ->
-      parallel_round ~variant ~domains:n ~datalog_only ~demanded s theory
-  | Naive | Seminaive | Parallel _ ->
-      sequential_round ~variant ~strategy ?eval ~datalog_only ~demanded s
-        theory
 
 let default_rounds = 64
 let default_elements = 100_000
@@ -463,7 +283,6 @@ let effective_budget ?budget ?max_rounds ?max_elements () =
 let strategy_tag = function
   | Naive -> "naive"
   | Seminaive -> "seminaive"
-  | Parallel n -> "parallel:" ^ string_of_int n
 let variant_tag = function Restricted -> "restricted" | Oblivious -> "oblivious"
 
 (* The round loop behind every entry point: charge a round, run it,
@@ -524,13 +343,11 @@ let drive ~variant ~strategy ?eval ~datalog_only ?record
   in
   (outcome, !last, !per_round, !stopped)
 
-let strategy_or = function Some s -> s | None -> default_strategy ()
-
 (* [run] with [stop] (an arbitrary condition on the instance) in place
    of [watch]: what [run] and [certain] both call. *)
-let run_until ?(variant = Restricted) ?strategy ?eval ?(datalog_only = false)
-    ?stop ?record ?budget ?max_rounds ?max_elements theory base =
-  let strategy = strategy_or strategy in
+let run_until ?(variant = Restricted) ?(strategy = Seminaive) ?eval
+    ?(datalog_only = false) ?stop ?record ?budget ?max_rounds ?max_elements
+    theory base =
   let budget = effective_budget ?budget ?max_rounds ?max_elements () in
   Obs.Metrics.incr m_runs;
   Obs.Metrics.time t_run @@ fun () ->
@@ -578,9 +395,8 @@ let run ?variant ?strategy ?eval ?datalog_only ?watch ?record ?budget
    from [from_round + 1] so the existing stamps keep driving the
    semi-naive windows.  Restricted variant only: the oblivious chase's
    fired-trigger table does not survive across runs. *)
-let resume ?strategy ?eval ?record ?budget ?max_rounds ?max_elements
-    ~from_round theory inst =
-  let strategy = strategy_or strategy in
+let resume ?(strategy = Seminaive) ?eval ?record ?budget ?max_rounds
+    ?max_elements ~from_round theory inst =
   let budget = effective_budget ?budget ?max_rounds ?max_elements () in
   Obs.Metrics.incr m_runs;
   Obs.Trace.span "chase.resume" @@ fun () ->

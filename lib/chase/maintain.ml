@@ -28,7 +28,7 @@
        staged at the same fresh birth round as the inserted batch, so
        cascades ride the normal semi-naive resumption.
 
-   Correctness (DESIGN.md section 14): every surviving fact keeps a
+   Correctness (DESIGN.md section 13): every surviving fact keeps a
    recorded derivation grounded in surviving base facts, so the resumed
    run starts from a justified sub-instance of a chase state of the
    updated database; resuming to fixpoint yields a universal model of

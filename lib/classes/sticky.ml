@@ -8,72 +8,9 @@
    found at position i of that head atom.  Repeat to fixpoint.
 
    T is sticky iff no marked variable occurs more than once in a rule
-   body. *)
+   body.  The marking lives in the analyzer, whose fixpoint also records
+   the provenance of every mark — so a failure comes with a trace. *)
 
-open Bddfc_logic
-
-module Pos = struct
-  type t = Pred.t * int
-
-  let compare = compare
-end
-
-module Pos_set = Set.Make (Pos)
-
-(* All (pred, position) pairs at which variable [x] occurs in [atoms]. *)
-let positions_of x atoms =
-  List.concat_map
-    (fun a ->
-      List.mapi (fun i t -> (i, t)) (Atom.args a)
-      |> List.filter_map (fun (i, t) ->
-             if Term.equal t (Term.Var x) then Some (Atom.pred a, i) else None))
-    atoms
-
-let marked_positions theory =
-  let base =
-    List.fold_left
-      (fun acc r ->
-        let head_vars = Rule.head_vars r in
-        Rule.SS.fold
-          (fun x acc ->
-            if Rule.SS.mem x head_vars then acc
-            else
-              List.fold_left
-                (fun acc p -> Pos_set.add p acc)
-                acc
-                (positions_of x (Rule.body r)))
-          (Rule.body_vars r) acc)
-      Pos_set.empty (Theory.rules theory)
-  in
-  let step marked =
-    List.fold_left
-      (fun marked r ->
-        List.fold_left
-          (fun marked head_atom ->
-            List.fold_left
-              (fun marked (i, t) ->
-                if Pos_set.mem (Atom.pred head_atom, i) marked then
-                  match t with
-                  | Term.Var x ->
-                      List.fold_left
-                        (fun m p -> Pos_set.add p m)
-                        marked
-                        (positions_of x (Rule.body r))
-                  | Term.Cst _ -> marked
-                else marked)
-              marked
-              (List.mapi (fun i t -> (i, t)) (Atom.args head_atom)))
-          marked (Rule.head r))
-      marked (Theory.rules theory)
-  in
-  let rec fix marked =
-    let marked' = step marked in
-    if Pos_set.equal marked marked' then marked else fix marked'
-  in
-  fix base
-
-(* Delegated to the analyzer, whose marking fixpoint also records the
-   provenance of every mark — so a failure comes with a trace. *)
 let is_sticky theory =
   match Bddfc_analysis.Analyzer.sticky_violations theory with
   | [] -> true

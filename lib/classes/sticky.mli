@@ -4,13 +4,4 @@
 
 open Bddfc_logic
 
-module Pos : sig
-  type t = Pred.t * int
-
-  val compare : t -> t -> int
-end
-
-module Pos_set : Set.S with type elt = Pos.t
-
-val marked_positions : Theory.t -> Pos_set.t
 val is_sticky : Theory.t -> bool

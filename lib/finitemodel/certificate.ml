@@ -35,10 +35,3 @@ let pp_issue ppf = function
   | Missing_database_fact -> Fmt.string ppf "model does not contain D"
   | Rule_violated v -> Model_check.pp_violation ppf v
   | Query_satisfied -> Fmt.string ppf "model satisfies the query"
-
-let pp ppf cert =
-  Fmt.pf ppf
-    "@[<v>certificate: model with %d elements, %d facts;@ query: %a@ valid: %b@]"
-    (Instance.num_elements cert.model)
-    (Instance.num_facts cert.model)
-    Cq.pp cert.query (is_valid cert)

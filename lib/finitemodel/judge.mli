@@ -8,7 +8,10 @@ open Bddfc_structure
 type evidence =
   | Certain of int (** the query is certain at this chase depth *)
   | Witness of Certificate.t * Pipeline.stats option
-      (** a verified finite countermodel *)
+      (** a finite countermodel that passed {!Certificate.is_valid}
+          before [judge] returned it (the pipeline's, or one the search
+          found and [judge] checked), so callers report it as verified
+          without checking it again *)
   | No_small_model of { max_extra : int; search_nodes : int }
       (** proved absence of small countermodels + inconclusive search:
           the executable shape of Section 5.5 non-FC evidence *)

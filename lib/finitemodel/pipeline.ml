@@ -59,7 +59,7 @@ type params = {
          Query_entailed at the same depth, anything else falls through
          to the full construction (a dropped rule can never affect
          certain answers, but a countermodel must satisfy the whole
-         theory — DESIGN.md section 12) *)
+         theory — DESIGN.md section 11) *)
 }
 
 let default_params =
@@ -74,7 +74,7 @@ let default_params =
     rewrite_max_steps = 2_000;
     saturation_rounds = 10_000;
     budget = None;
-    strategy = Chase.default_strategy ();
+    strategy = Chase.Seminaive;
     eval = Eval.Compiled;
     hc = Hc.default_mode ();
     preflight = true;

@@ -48,7 +48,7 @@ type params = {
           ({!Bddfc_analysis.Dataflow.slice}) first; [Entailed]
           short-circuits to [Query_entailed] at the same depth, anything
           else falls through to the full construction (a countermodel
-          must satisfy the dropped rules too — DESIGN.md section 12) *)
+          must satisfy the dropped rules too — DESIGN.md section 11) *)
 }
 
 val default_params : params
@@ -74,6 +74,9 @@ val empty_stats : stats
 
 type outcome =
   | Model of Certificate.t * stats
+      (** a finite countermodel.  [construct] returns one only after
+          {!Certificate.is_valid} accepted it, so callers report it as
+          verified without checking it again. *)
   | Query_entailed of int (** chase depth at which the query held *)
   | Unknown of string * stats
 

@@ -59,48 +59,6 @@ val holds_at : ?engine:engine -> Instance.t -> Cq.t -> string -> Element.id -> b
 (** [holds_at inst q y e]: the paper's [C |= exists x. Psi(x, e)] — the
     query with its free variable [y] bound to [e]. *)
 
-(** {1 Prepared bodies — worker-domain execution}
-
-    A {!prepared} is a body pre-resolved to its compiled plan on the
-    coordinating domain.  {!prepare} and {!passes} may touch the
-    (unsynchronized) plan cache and the instance indexes and must only be
-    called from one domain before a fork; {!pass_run} and
-    {!satisfiable_prepared} only read the plan and the instance, so any
-    number of worker domains may run them concurrently over a read-only
-    instance. *)
-
-type prepared
-
-val prepare : Atom.t list -> prepared
-(** Resolve a body to its cached compiled plan (coordinator only). *)
-
-val satisfiable_prepared :
-  ?init:binding -> ?upto:int -> Instance.t -> prepared -> bool
-(** Worker-safe [satisfiable] on a prepared body, all atoms windowed to
-    [\[0, upto)]. *)
-
-type pass
-(** One pass of the semi-naive decomposition of a prepared body: atom [k]
-    pinned to the delta [\[since, upto)], atoms before [k] to the
-    pre-delta prefix, atoms after [k] to [\[0, upto)] — with the pass's
-    deterministic root access path chosen and its candidate facts
-    materialized ({!Plan.choose_root}). *)
-
-val passes : since:int -> upto:int -> Instance.t -> prepared -> pass list
-(** The decomposition the sequential engine runs: one pass per atom when
-    [since > 0], a single full-window pass otherwise (where an empty body
-    yields the empty binding once).  Coordinator only. *)
-
-val pass_candidates : pass -> int
-(** Number of root candidates — the units worker domains shard. *)
-
-val pass_run : Instance.t -> pass -> cand:int -> (binding -> unit) -> unit
-(** Enumerate the bindings of one root candidate.  Running [cand] over
-    [0 .. pass_candidates - 1] in ascending order, across the passes in
-    list order, yields exactly the bindings of {!iter_solutions_delta},
-    in the same order — the parallel chase's determinism invariant.
-    Worker-safe. *)
-
 (** {1 Instrumentation} *)
 
 val probe_count : unit -> int

@@ -14,11 +14,10 @@
     and strips source locations, so α-equivalent queries — same atom
     order modulo a variable renaming — intern to the same node.  The
     verdicts the caches store are invariant under exactly that
-    equivalence, which is the coherence argument (DESIGN.md §13).
+    equivalence, which is the coherence argument (DESIGN.md §12).
 
-    The store is process-global and unsynchronized: like the {!Plan}
-    cache it must only be touched from the coordinating domain (parallel
-    chase workers run {!Eval} only, never containment).  {!reset} drops
+    The store is process-global and unsynchronized, like the {!Plan}
+    cache.  {!reset} drops
     everything — the [serve] warm-session eviction hook, and the
     re-intern-from-empty point the obs tests pivot on. *)
 

@@ -145,72 +145,16 @@ let of_atoms atom_list =
 let unbound = -1
 let no_const = -2
 
-let resolve_consts inst plan =
-  Array.map
-    (fun name ->
-      match Instance.const_opt inst name with
-      | Some id -> id
-      | None -> no_const)
-    plan.const_names
-
-(* Most-constrained-atom scoring for one search node: the cheapest access
-   path of every not-yet-used atom, scored by windowed bucket cardinality
-   in O(arity).  Shared between [exec_windowed]'s recursion and
-   [choose_root] so a split execution scores (and counts index ops)
-   exactly like a monolithic one. *)
-let score_node inst plan const_ids env used ~wsince ~wupto ~best ~best_score
-    ~best_pos ~best_id =
+let exec_windowed ?(init = Smap.empty) ~wsince ~wupto inst plan yield =
   let natoms = Array.length plan.atoms in
-  for i = 0 to natoms - 1 do
-    if not used.(i) then begin
-      let ca = plan.atoms.(i) in
-      let since = wsince.(i) and upto = wupto.(i) in
-      let score = ref max_int in
-      let pos = ref (-1) in
-      let id = ref no_const in
-      Array.iteri
-        (fun j slot ->
-          let v =
-            match slot with
-            | S_reg r -> env.(r)
-            | S_cst k -> const_ids.(k)
-          in
-          if v = no_const then begin
-            (* unknown constant: the atom can never match *)
-            score := 0;
-            pos := j;
-            id := v
-          end
-          else if v <> unbound then begin
-            Obs.Metrics.incr index_ops;
-            let c =
-              Instance.card_with_arg_window inst ca.c_pred j v ~since ~upto
-            in
-            if c < !score then begin
-              score := c;
-              pos := j;
-              id := v
-            end
-          end)
-        ca.c_slots;
-      if !score = max_int then begin
-        Obs.Metrics.incr index_ops;
-        score := Instance.card_with_pred_window inst ca.c_pred ~since ~upto;
-        pos := -1
-      end;
-      if !score < !best_score then begin
-        best := i;
-        best_score := !score;
-        best_pos := !pos;
-        best_id := !id
-      end
-    end
-  done
-
-let exec_windowed_gen ?(init = Smap.empty) ~wsince ~wupto ?pin inst plan
-    yield =
-  let natoms = Array.length plan.atoms in
-  let const_ids = resolve_consts inst plan in
+  let const_ids =
+    Array.map
+      (fun name ->
+        match Instance.const_opt inst name with
+        | Some id -> id
+        | None -> no_const)
+      plan.const_names
+  in
   let env = Array.make (max plan.nvars 1) unbound in
   let used = Array.make (max natoms 1) false in
   let trail = Array.make (max plan.nvars 1) 0 in
@@ -263,8 +207,52 @@ let exec_windowed_gen ?(init = Smap.empty) ~wsince ~wupto ?pin inst plan
       let best_score = ref max_int in
       let best_pos = ref (-1) in
       let best_id = ref no_const in
-      score_node inst plan const_ids env used ~wsince ~wupto ~best
-        ~best_score ~best_pos ~best_id;
+      for i = 0 to natoms - 1 do
+        if not used.(i) then begin
+          let ca = plan.atoms.(i) in
+          let since = wsince.(i) and upto = wupto.(i) in
+          let score = ref max_int in
+          let pos = ref (-1) in
+          let id = ref no_const in
+          Array.iteri
+            (fun j slot ->
+              let v =
+                match slot with
+                | S_reg r -> env.(r)
+                | S_cst k -> const_ids.(k)
+              in
+              if v = no_const then begin
+                (* unknown constant: the atom can never match *)
+                score := 0;
+                pos := j;
+                id := v
+              end
+              else if v <> unbound then begin
+                Obs.Metrics.incr index_ops;
+                let c =
+                  Instance.card_with_arg_window inst ca.c_pred j v ~since
+                    ~upto
+                in
+                if c < !score then begin
+                  score := c;
+                  pos := j;
+                  id := v
+                end
+              end)
+            ca.c_slots;
+          if !score = max_int then begin
+            Obs.Metrics.incr index_ops;
+            score := Instance.card_with_pred_window inst ca.c_pred ~since ~upto;
+            pos := -1
+          end;
+          if !score < !best_score then begin
+            best := i;
+            best_score := !score;
+            best_pos := !pos;
+            best_id := !id
+          end
+        end
+      done;
       if !best_score = 0 then () (* some atom cannot match at all: prune *)
       else begin
         let i = !best in
@@ -289,79 +277,10 @@ let exec_windowed_gen ?(init = Smap.empty) ~wsince ~wupto ?pin inst plan
       end
     end
   in
-  match pin with
-  | None -> go 0
-  | Some (root, fact) ->
-      (* Resume a split execution below its root: atom [root] is consumed
-         by probing exactly [fact], then the walk continues with the
-         normal dynamic scoring.  Counter-identical to the corresponding
-         slice of [exec_windowed]'s root loop. *)
-      used.(root) <- true;
-      Obs.Metrics.incr probes;
-      Obs.Metrics.incr index_ops;
-      if probe_ok plan.atoms.(root).c_slots fact 0 then begin
-        go 1;
-        undo 0
-      end
-
-let exec_windowed ?init ~wsince ~wupto inst plan yield =
-  exec_windowed_gen ?init ~wsince ~wupto inst plan yield
+  go 0
 
 let exec ?init ?upto inst plan yield =
   let n = Array.length plan.atoms in
   let u = match upto with None -> max_int | Some u -> u in
   exec_windowed ?init ~wsince:(Array.make (max n 1) 0)
     ~wupto:(Array.make (max n 1) u) inst plan yield
-
-(* ---------------------------------------------------------------- *)
-(* Split execution: the parallel chase's building blocks             *)
-(* ---------------------------------------------------------------- *)
-
-type root = { root_atom : int; root_facts : Fact.t array }
-
-(* The deterministic first step of [exec_windowed]: score the root node
-   exactly as the recursion would (same index-op accounting), then
-   *materialize* the winning access path's candidate facts in iteration
-   order instead of probing them.  [exec_from_root] on each fact, in
-   array order, then enumerates exactly the solutions of the monolithic
-   execution, in the same order — the decomposition the parallel chase
-   shards across domains. *)
-let choose_root ?(init = Smap.empty) ~wsince ~wupto inst plan =
-  let natoms = Array.length plan.atoms in
-  if natoms = 0 then None
-  else begin
-    let const_ids = resolve_consts inst plan in
-    let env = Array.make (max plan.nvars 1) unbound in
-    let used = Array.make natoms false in
-    Smap.iter
-      (fun x id ->
-        match reg_of_var plan x with Some r -> env.(r) <- id | None -> ())
-      init;
-    let best = ref (-1) in
-    let best_score = ref max_int in
-    let best_pos = ref (-1) in
-    let best_id = ref no_const in
-    score_node inst plan const_ids env used ~wsince ~wupto ~best ~best_score
-      ~best_pos ~best_id;
-    let i = !best in
-    let facts =
-      if !best_score = 0 then [||] (* some atom cannot match: empty walk *)
-      else begin
-        let ca = plan.atoms.(i) in
-        let since = wsince.(i) in
-        let upto = if wupto.(i) = max_int then None else Some wupto.(i) in
-        let acc = ref [] in
-        let collect f = acc := f :: !acc in
-        (if !best_pos >= 0 then
-           Instance.iter_with_arg_window ~since ?upto inst ca.c_pred
-             !best_pos !best_id collect
-         else
-           Instance.iter_with_pred_window ~since ?upto inst ca.c_pred collect);
-        Array.of_list (List.rev !acc)
-      end
-    in
-    Some { root_atom = i; root_facts = facts }
-  end
-
-let exec_from_root ?init ~wsince ~wupto ~root fact inst plan yield =
-  exec_windowed_gen ?init ~wsince ~wupto ~pin:(root, fact) inst plan yield

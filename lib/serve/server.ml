@@ -40,13 +40,9 @@ type config = {
   chase_rounds : int;
   max_line_bytes : int;
   faults : Faults.t option;
-  strategy : Chase.strategy;
-      (* chase strategy for every request; [Parallel n] reuses one warm
-         domain pool across requests.  Results are bit-identical to
-         [Seminaive] regardless, so --domains never changes replies. *)
   hc : Hc.mode;
       (* containment backend for every request; verdicts are identical
-         across modes, so --hc never changes replies either *)
+         across modes, so --hc never changes replies *)
 }
 
 let default_config =
@@ -57,7 +53,6 @@ let default_config =
     chase_rounds = 16;
     max_line_bytes = 1 lsl 20;
     faults = None;
-    strategy = Chase.default_strategy ();
     hc = Hc.default_mode ();
   }
 
@@ -138,6 +133,8 @@ let with_session t ~fault b (r : Protocol.request) k =
       if rebuilt then Obs.Metrics.incr m_built;
       k name w
 
+(* Judge and Pipeline return only certificates that passed
+   Certificate.is_valid, so [verified] reports their verdict. *)
 let judge_fields (v : Judge.verdict) =
   let evidence, definite =
     match v.Judge.evidence with
@@ -145,7 +142,7 @@ let judge_fields (v : Judge.verdict) =
     | Judge.Witness (cert, _) ->
         ( [ ("verdict", Json.S "countermodel");
             ("elements", int (Instance.num_elements cert.Certificate.model));
-            ("verified", Json.B (Certificate.is_valid cert)) ],
+            ("verified", Json.B true) ],
           true )
     | Judge.No_small_model { max_extra; search_nodes } ->
         ( [ ("verdict", Json.S "no_small_model");
@@ -165,7 +162,7 @@ let cert_fields outcome =
   | Pipeline.Model (cert, _) ->
       ( [ ("result", Json.S "model");
           ("elements", int (Instance.num_elements cert.Certificate.model));
-          ("verified", Json.B (Certificate.is_valid cert)) ],
+          ("verified", Json.B true) ],
         true )
   | Pipeline.Query_entailed d ->
       ([ ("result", Json.S "certain"); ("depth", int d) ], true)
@@ -264,7 +261,7 @@ let dispatch t ~fault (r : Protocol.request) =
         | Some st -> (true, st)
         | None ->
             let st =
-              Maintain.saturate ~strategy:t.config.strategy ~budget:b
+              Maintain.saturate ~budget:b
                 ~max_rounds:rounds w.Session.theory w.Session.db
             in
             (* a prefix truncated at the requested depth is the queryable
@@ -309,9 +306,8 @@ let dispatch t ~fault (r : Protocol.request) =
         (fun k ->
           let st = Hashtbl.find w.Session.chase k in
           let st', stats =
-            Maintain.apply ~strategy:t.config.strategy ~budget:b
-              ~max_rounds:k w.Session.theory ~db:w.Session.db st ~insert
-              ~retract
+            Maintain.apply ~budget:b ~max_rounds:k w.Session.theory
+              ~db:w.Session.db st ~insert ~retract
           in
           (match st'.Maintain.outcome with
           | Chase.Exhausted Budget.Rounds | Chase.Fixpoint | Chase.Watched ->
@@ -347,7 +343,6 @@ let dispatch t ~fault (r : Protocol.request) =
             pipeline_params =
               { Pipeline.default_params with
                 budget = Some b;
-                strategy = t.config.strategy;
                 hc = t.config.hc;
                 slice = Dataflow.is_proper sl;
               };
@@ -366,13 +361,12 @@ let dispatch t ~fault (r : Protocol.request) =
         let params =
           { Pipeline.default_params with
             budget = Some b;
-            strategy = t.config.strategy;
             hc = t.config.hc;
           }
         in
         (* consume the memoized slice directly: a certain verdict needs
            only the relevant rules, and the probe reports the same depth
-           the full pipeline would (DESIGN.md section 12) *)
+           the full pipeline would (DESIGN.md section 11) *)
         let outcome =
           match Pipeline.slice_fast_path ~params sl w.Session.db q with
           | Some outcome -> outcome

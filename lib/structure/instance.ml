@@ -55,8 +55,7 @@ let lower_bound a n x =
 (* Every instance carries a process-unique creation token plus a mutation
    counter: together they give memo layers (Bddfc_hom.Hc) a sound cache
    key for "this exact structure in this exact state" without hashing the
-   fact set.  The token supply is atomic so instances created on worker
-   domains can never alias. *)
+   fact set. *)
 let token_supply = Atomic.make 0
 
 type t = {

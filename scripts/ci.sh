@@ -30,11 +30,6 @@ dune exec test/main.exe -- test differential
 # fault-injection sweep, eviction, overload and metrics reconciliation
 dune exec test/main.exe -- test serve
 
-# the parallel-chase differential/chaos suite, explicitly: bit-identity
-# to the sequential engine at 1/2/4/8 domains over the zoo and 100
-# random theories, chaos scheduling inertness, fuel-trap determinism
-dune exec test/main.exe -- test parallel
-
 # the hash-consing differential suite, explicitly: unique-table
 # properties, the containment fuzzing battery, memo-coherence replay,
 # obs reconciliation and the serve eviction no-drift check
@@ -43,16 +38,8 @@ dune exec test/main.exe -- test hc
 # the incremental-maintenance differential suite, explicitly: zoo +
 # random churn batches hom-equivalent (both ways) to a from-scratch
 # chase of the updated database, counter reconciliation, bailout
-# bit-identity, strategy bit-identity and poisoned-state determinism
+# bit-identity and poisoned-state determinism
 dune exec test/main.exe -- test maintain
-
-# the multi-domain lane: the whole tier-1 suite again with every
-# defaulted chase strategy forced to Parallel 4 (the env hook behind
-# Chase.default_strategy), so each suite doubles as a differential
-# oracle against its own sequential run above; Provenance.run and
-# Maintain.saturate default to it too, so provenance runs the parallel
-# engine here
-BDDFC_TEST_DOMAINS=4 dune runtest --force
 
 # the structural-containment lane: the whole tier-1 suite again with
 # the hash-consed store switched off (every defaulted --hc forced to
@@ -60,7 +47,7 @@ BDDFC_TEST_DOMAINS=4 dune runtest --force
 # interned run above
 BDDFC_TEST_HC=structural dune runtest --force
 
-# the CLI cram suite (exit codes, diagnostics, --strategy acceptance,
+# the CLI cram suite (exit codes, diagnostics, --strategy agreement,
 # and the bench gate self-test against doctored EX-20/EX-21 blobs)
 dune build @test/cli/runtest
 
@@ -84,13 +71,6 @@ dune exec bench/main.exe -- --only eval --check BENCH_05.json
 # EX-18 blob.  Latencies are reported, never gated.
 dune exec bench/main.exe -- --only serve --check BENCH_06.json
 
-# the parallel-chase smoke (EX-19): every workload at 1/2/4/8 domains
-# must produce identical rounds/facts/probes/index-op counts and a
-# bit-identical instance, matching the committed BENCH_07 blob exactly.
-# The >= 2x speedup at 4 domains is gated only on machines with >= 4
-# cores; wall times are reported either way.
-dune exec bench/main.exe -- --only parallel --check BENCH_07.json
-
 # the dataflow-analysis smoke (EX-20): every zoo entry's dataflow
 # report must build and its JSON must re-parse; sliced and unsliced
 # certain-answer verdicts must be identical on every slicing workload;
@@ -112,8 +92,8 @@ dune exec bench/main.exe -- --only hc --check BENCH_09.json
 # from-scratch re-chase after every batch, per-batch stats reconciling
 # with the instance size, and the deterministic counters within 10% of
 # the committed EX-22 blob.  The >= 5x maintained-vs-rechase speedup on
-# at least one workload is gated only on machines with >= 4 cores (as
-# in BENCH_07); wall times are reported either way.
+# at least one workload is gated only on machines with >= 4 cores;
+# wall times are reported either way.
 dune exec bench/main.exe -- --only maintain --check BENCH_10.json
 
 # the observability smoke: tracing must be semantically inert (same

@@ -305,15 +305,14 @@ let ev_int name attrs key =
   | Some (Obs.Int n) -> n
   | _ -> Alcotest.failf "%s: chase.round event lacks int attr %s" name key
 
-let check_telemetry ?strategy name theory d =
+let check_telemetry name theory d =
   Obs.Trace.set_sink None;
   let before = Obs.Metrics.snapshot () in
   let c = Obs.Trace.install_collector () in
   let r =
     Fun.protect
       ~finally:(fun () -> Obs.Trace.set_sink None)
-      (fun () ->
-        Chase.run ?strategy ~max_rounds:8 ~max_elements:2_000 theory d)
+      (fun () -> Chase.run ~max_rounds:8 ~max_elements:2_000 theory d)
   in
   let after = Obs.Metrics.snapshot () in
   let delta = Obs.Metrics.ints_delta ~before ~after in
@@ -388,27 +387,6 @@ let test_obs_random_invariants () =
       let d = Gen.random_instance ~facts:4 ~seed:(seed + 1000) () in
       check_telemetry (Printf.sprintf "seed %d" seed) theory d)
     random_cases
-
-let test_obs_parallel_invariants () =
-  (* the same event-vs-instance-vs-registry reconciliation through the
-     parallel engine: worker counters divert to per-domain shards during
-     the fork-join window and merge additively at the round barrier, so
-     the [chase.round] events (emitted by the coordinator after the
-     merge) and the registry deltas must reconcile exactly as they do for
-     the sequential strategy *)
-  List.iter
-    (fun (e : Zoo.entry) ->
-      check_telemetry ~strategy:(Chase.Parallel 4)
-        (e.Zoo.name ^ "/parallel") e.Zoo.theory (Zoo.database_instance e))
-    Zoo.all;
-  List.iter
-    (fun seed ->
-      let theory = Gen.random_binary_theory ~rules:4 ~seed () in
-      let d = Gen.random_instance ~facts:4 ~seed:(seed + 1000) () in
-      check_telemetry ~strategy:(Chase.Parallel 4)
-        (Printf.sprintf "seed %d/parallel" seed)
-        theory d)
-    (List.init 20 (fun i -> i * 3))
 
 (* ----------------------------------------------------------------- *)
 (* Compiled vs interpreted join engine                                 *)
@@ -555,7 +533,7 @@ let test_engine_round_budget_agreement () =
 (* ----------------------------------------------------------------- *)
 
 (* Sliced certain answering against the full chase.  The slicer's
-   contract (DESIGN.md section 12): over relevant predicates the sliced
+   contract (DESIGN.md section 11): over relevant predicates the sliced
    restricted chase derives the same facts round for round, so an
    [Entailed] verdict carries the identical depth, a full-theory
    [Not_entailed] fixpoint forces a sliced one, and exhaustion can only
@@ -746,8 +724,6 @@ let suite =
       tc "telemetry: zoo events reconcile with instances and registry"
         test_obs_zoo_invariants;
       tc "telemetry: 60 random seeds reconcile" test_obs_random_invariants;
-      tc "telemetry: parallel domain shards reconcile"
-        test_obs_parallel_invariants;
       tc "engines: zoo solutions and answers agree" test_engine_zoo_solutions;
       tc "engines: 60 random seeds' solution sets agree"
         test_engine_random_solutions;

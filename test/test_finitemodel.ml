@@ -274,6 +274,75 @@ let test_pipeline_vs_naive_agreement () =
       check Alcotest.bool (name ^ ": engines agree") naive_found pipeline_found)
     [ "ex1"; "ex7"; "linear"; "sticky"; "weakly_acyclic" ]
 
+(* Pipeline.construct and Judge.judge return only verified certificates
+   (pipeline.mli, judge.mli), which is why the CLI and the server
+   report [verified] without checking again.  Every Model and Witness
+   they produce over the zoo, the shipped example programs and random
+   binary programs must pass [Certificate.verify]. *)
+let test_certificates_arrive_verified () =
+  (* dune runtest runs in _build/default/test, dune exec in the root *)
+  let example_dir =
+    List.find Sys.file_exists [ "../examples/programs"; "examples/programs" ]
+  in
+  let examples =
+    Sys.readdir example_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".dlg")
+    |> List.sort compare
+    |> List.concat_map (fun f ->
+           let p =
+             Parser.parse_program
+               (In_channel.with_open_bin (Filename.concat example_dir f)
+                  In_channel.input_all)
+           in
+           let t = Theory.make p.Parser.rules in
+           List.map
+             (fun query -> (f, t, Instance.of_atoms p.Parser.facts, query))
+             p.Parser.queries)
+  in
+  let zoo =
+    List.map
+      (fun (e : Zoo.entry) ->
+        (e.Zoo.name, e.Zoo.theory, Zoo.database_instance e, e.Zoo.query))
+      Zoo.all
+  in
+  let queries =
+    [| "? e(X,Y), e(Y,X)."; "? p(X), q(X)."; "? r(X,X)."; "? f(X,Y), r(Y,X).";
+       "? q(X)." |]
+  in
+  let random =
+    List.init 30 (fun seed ->
+        ( Printf.sprintf "seed %d" seed,
+          Gen.random_binary_theory ~rules:4 ~seed (),
+          Gen.random_instance ~facts:4 ~seed:(seed + 1000) (),
+          q queries.(seed mod Array.length queries) ))
+  in
+  let models = ref 0 in
+  let verified name cert =
+    incr models;
+    check Alcotest.int (name ^ ": certificate verifies") 0
+      (List.length (Certificate.verify cert))
+  in
+  (* judge runs the pipeline first and returns its Model as a Witness,
+     so one judge call covers both producers *)
+  let fuel = 20_000 in
+  List.iter
+    (fun (name, t, d, query) ->
+      let budget =
+        Bddfc_budget.Budget.v ~rounds:fuel ~elements:fuel ~facts:fuel
+          ~rewrite_steps:fuel ~refine_steps:fuel ~nodes:fuel ()
+      in
+      let params = { Pipeline.default_params with budget = Some budget } in
+      match
+        (Judge.judge
+           ~budget:{ Judge.default_budget with pipeline_params = params }
+           t d query)
+          .Judge.evidence
+      with
+      | Judge.Witness (cert, _) -> verified name cert
+      | Judge.Certain _ | Judge.No_small_model _ | Judge.Open _ -> ())
+    (zoo @ examples @ random);
+  check Alcotest.bool "some certificates were produced" true (!models > 10)
+
 let suite =
   ( "finitemodel",
     [ tc "hide query (♠4)" test_hide_query;
@@ -298,4 +367,5 @@ let suite =
       tc "pipeline honest on non-FC (5.5)" test_pipeline_nonfc_unknown;
       tc "pipeline detects entailment" test_pipeline_query_on_entailed_instance;
       tc "pipeline vs naive agreement" test_pipeline_vs_naive_agreement;
+      tc "certificates arrive verified" test_certificates_arrive_verified;
     ] )

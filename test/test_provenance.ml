@@ -38,8 +38,7 @@ let test_replay_matches_chase () =
             (Instance.num_elements prov.Provenance.instance);
           check Alcotest.int (label "same rounds") direct.Chase.rounds
             prov.Provenance.rounds)
-        [ ("naive", Chase.Naive); ("seminaive", Chase.Seminaive);
-          ("parallel 2", Chase.Parallel 2) ])
+        [ ("naive", Chase.Naive); ("seminaive", Chase.Seminaive) ])
     [ ( "chain",
         "p(X) -> exists Y. e(X,Y). e(X,Y) -> q(Y). q(Y) -> r(Y).",
         "p(a). p(b)." );
