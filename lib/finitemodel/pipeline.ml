@@ -76,7 +76,7 @@ let default_params =
     budget = None;
     strategy = Chase.Seminaive;
     eval = Eval.Compiled;
-    hc = Hc.default_mode ();
+    hc = Hc.Interned;
     preflight = true;
     slice = false;
   }
@@ -403,11 +403,7 @@ and construct_at ~params ~budget ~hidden ~t2 ?(terminating = false) theory
           else if
             Instance.facts_with_pred m1 hidden.Normalize.query_pred <> []
           then fail "hidden predicate derived after saturation"
-          else if
-            (match params.hc with
-            | Hc.Structural -> Eval.holds ~engine:params.eval m1 query
-            | Hc.Interned ->
-                Hc.holds_memo ~engine:params.eval m1 ~init:[] query)
+          else if Hc.holds ~engine:params.eval params.hc m1 ~init:[] query
           then fail "query satisfied in quotient"
           else begin
             match Model_check.violations ~limit:1 ~eval:params.eval t2 m1 with

@@ -34,7 +34,7 @@ type params = {
       (** join engine for every evaluation stage (default [Compiled]) *)
   hc : Bddfc_hom.Hc.mode;
       (** containment backend for kappa and the quotient checks (default
-          {!Bddfc_hom.Hc.default_mode}): [Interned] goes through the
+          [Interned]): [Interned] goes through the
           hash-consed store and memo caches, [Structural] is the
           uncached differential oracle *)
   preflight : bool;

@@ -89,8 +89,7 @@ let subsumes_structural ?engine ~(general : Cq.t) (specific : Cq.t) =
 (* [subsumes ~general ~specific]: does [general] hold whenever [specific]
    does (i.e. specific is contained in general)?  Both must have the same
    answer arity. *)
-let subsumes ?engine ?hc ~(general : Cq.t) (specific : Cq.t) =
-  let hc = match hc with Some m -> m | None -> Hc.default_mode () in
+let subsumes ?engine ?(hc = Hc.Interned) ~(general : Cq.t) (specific : Cq.t) =
   match hc with
   | Hc.Structural -> subsumes_structural ?engine ~general specific
   | Hc.Interned ->
@@ -104,8 +103,8 @@ let subsumes ?engine ?hc ~(general : Cq.t) (specific : Cq.t) =
    variables into specific's terms) when the verdict is positive.  The
    interned path caches witnesses in the canonical namespaces and
    translates through the two renamings. *)
-let subsumes_witness ?engine ?hc ~(general : Cq.t) (specific : Cq.t) =
-  let hc = match hc with Some m -> m | None -> Hc.default_mode () in
+let subsumes_witness ?engine ?(hc = Hc.Interned) ~(general : Cq.t)
+    (specific : Cq.t) =
   match hc with
   | Hc.Structural -> subsumes_core ?engine ~general specific
   | Hc.Interned ->

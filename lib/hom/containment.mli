@@ -1,7 +1,7 @@
 (** Conjunctive-query containment via canonical (frozen) instances.
 
     Every decision takes an [?hc] switch ({!Hc.mode}, default
-    {!Hc.default_mode}): [Interned] routes the pair through the
+    [Interned]): [Interned] routes the pair through the
     hash-consed unique table and the [(id, id)] verdict memo, [Structural]
     is the original uncached code — the differential oracle the fuzzing
     battery compares against. *)

@@ -23,17 +23,6 @@ module Obs = Bddfc_obs.Obs
 
 type mode = Interned | Structural
 
-let mode_tag = function Interned -> "interned" | Structural -> "structural"
-
-let default_mode =
-  let cached =
-    lazy
-      (match Sys.getenv_opt "BDDFC_TEST_HC" with
-      | Some "structural" -> Structural
-      | _ -> Interned)
-  in
-  fun () -> Lazy.force cached
-
 (* Registry handles (always on). *)
 let m_lookups = Obs.Metrics.counter "hc.lookups"
 let m_hits = Obs.Metrics.counter "hc.hits"
@@ -285,6 +274,15 @@ let holds_memo ?engine inst ~init (q : Cq.t) =
       let v = Eval.satisfiable ~init:binding ?engine inst (Cq.body canon) in
       Hashtbl.replace st.eval_memo key v;
       v
+
+let holds ?engine mode inst ~init (q : Cq.t) =
+  match mode with
+  | Interned -> holds_memo ?engine inst ~init q
+  | Structural ->
+      let init =
+        List.fold_left (fun acc (x, e) -> Smap.add x e acc) Smap.empty init
+      in
+      Eval.satisfiable ~init ?engine inst (Cq.body q)
 
 (* ---------------- lifecycle ---------------- *)
 

@@ -25,15 +25,11 @@ open Bddfc_logic
 open Bddfc_structure
 
 type mode =
-  | Interned (** unique table + memo caches (default) *)
-  | Structural (** the original structural code paths (differential oracle) *)
-
-val mode_tag : mode -> string
-(** ["interned"] / ["structural"] — the CLI and env spelling. *)
-
-val default_mode : unit -> mode
-(** [Interned], unless the environment sets [BDDFC_TEST_HC=structural]
-    (the CI differential lane).  Read once at first use. *)
+  | Interned (** unique table + memo caches (the default everywhere) *)
+  | Structural
+      (** the original structural code paths: the differential oracle
+          the tests and the bench compare against, chosen only through
+          library arguments *)
 
 (** {1 The unique table} *)
 
@@ -105,6 +101,14 @@ val holds_memo :
 (** [Eval.satisfiable ~init inst (Cq.body q)], memoized.  [init] binds
     variables of [q] to elements of [inst] (entries for variables not in
     the body are inert, exactly as in [Eval]). *)
+
+val holds :
+  ?engine:Eval.engine -> mode ->
+  Instance.t -> init:(string * Element.id) list -> Cq.t -> bool
+(** Ground query evaluation by containment backend: {!holds_memo} under
+    [Interned], the unmemoized [Eval.satisfiable ~init inst (Cq.body q)]
+    under [Structural].  The one dispatch the pipeline's quotient check,
+    {!Ptypes} inclusion and [Converge] share. *)
 
 (** {1 Lifecycle} *)
 

@@ -61,8 +61,7 @@ let rec subsets_upto k = function
 
 (* Does every canonical query of (A, a) with at most [vars] variables hold
    at (B, b)?  [a]/[b] may be [None] for the untyped (Boolean) variant. *)
-let ptp_leq ?engine ?hc ~vars:k a_inst a b_inst b =
-  let hc = match hc with Some m -> m | None -> Hc.default_mode () in
+let ptp_leq ?engine ?(hc = Hc.Interned) ~vars:k a_inst a b_inst b =
   let const_anchor_ok =
     match (a, b) with
     | Some a, Some b -> (
@@ -106,27 +105,17 @@ let ptp_leq ?engine ?hc ~vars:k a_inst a b_inst b =
            unknown constant in B simply fails the query, correctly) *)
         match atoms with
         | [] -> true
-        | _ -> (
-            match hc with
-            | Hc.Structural ->
-                let init =
-                  match (anchored_null, b) with
-                  | Some a0, Some b ->
-                      Smap.singleton ("v" ^ string_of_int a0) b
-                  | _ -> Smap.empty
-                in
-                Eval.satisfiable ~init ?engine b_inst atoms
-            | Hc.Interned ->
-                (* the canonical queries of overlapping V-sets repeat
-                   across anchors and across ptp_leq calls on the same
-                   structures: exactly the redundancy the version-stamped
-                   evaluation memo removes *)
-                let init =
-                  match (anchored_null, b) with
-                  | Some a0, Some b -> [ ("v" ^ string_of_int a0, b) ]
-                  | _ -> []
-                in
-                Hc.holds_memo ?engine b_inst ~init (Cq.boolean atoms)))
+        | _ ->
+            (* the canonical queries of overlapping V-sets repeat across
+               anchors and across ptp_leq calls on the same structures:
+               exactly the redundancy the interned evaluation memo
+               removes *)
+            let init =
+              match (anchored_null, b) with
+              | Some a0, Some b -> [ ("v" ^ string_of_int a0, b) ]
+              | _ -> []
+            in
+            Hc.holds ?engine hc b_inst ~init (Cq.boolean atoms))
       candidate_sets
   end
 

@@ -29,16 +29,13 @@ type trace = {
 
 (* The quotient sequence M_n(C-bar) for n = 1..max_n, with gain-tracking
    for the supplied (query, free-variable) family. *)
-let sequence ?(mode = Refine.Backward) ?eval ?hc ~max_n
+let sequence ?(mode = Refine.Backward) ?eval ?(hc = Hc.Interned) ~max_n
     (coloring : Coloring.t) queries =
-  let hc = match hc with Some m -> m | None -> Hc.default_mode () in
   (* the base structure is fixed across all n points and all queries:
      under Interned every (query, anchor) pair is evaluated against it
      exactly once, however long the trace *)
   let holds_at inst query y e =
-    match hc with
-    | Hc.Structural -> Eval.holds_at ?engine:eval inst query y e
-    | Hc.Interned -> Hc.holds_memo ?engine:eval inst ~init:[ (y, e) ] query
+    Hc.holds ?engine:eval hc inst ~init:[ (y, e) ] query
   in
   let base = Coloring.uncolor coloring.Coloring.colored in
   let g = Bgraph.make coloring.Coloring.colored in

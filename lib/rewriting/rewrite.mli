@@ -28,7 +28,7 @@ val rewrite :
   ?max_steps:int -> ?max_piece:int -> ?max_disjunct_vars:int ->
   Theory.t -> Cq.t -> result
 (** [?hc] selects the containment backend for the subsumption-driven
-    kept list ({!Bddfc_hom.Hc.mode}; default {!Bddfc_hom.Hc.default_mode}).
+    kept list ({!Bddfc_hom.Hc.mode}; default [Interned]).
     @raise Invalid_argument on multi-head rules (apply
     [Bddfc_classes.Multihead.to_single_head] first). *)
 

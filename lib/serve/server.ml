@@ -14,7 +14,6 @@ module Budget = Bddfc_budget.Budget
 module Chase = Bddfc_chase.Chase
 module Maintain = Bddfc_chase.Maintain
 module Eval = Bddfc_hom.Eval
-module Hc = Bddfc_hom.Hc
 module Judge = Bddfc_finitemodel.Judge
 module Pipeline = Bddfc_finitemodel.Pipeline
 module Certificate = Bddfc_finitemodel.Certificate
@@ -40,9 +39,6 @@ type config = {
   chase_rounds : int;
   max_line_bytes : int;
   faults : Faults.t option;
-  hc : Hc.mode;
-      (* containment backend for every request; verdicts are identical
-         across modes, so --hc never changes replies *)
 }
 
 let default_config =
@@ -53,7 +49,6 @@ let default_config =
     chase_rounds = 16;
     max_line_bytes = 1 lsl 20;
     faults = None;
-    hc = Hc.default_mode ();
   }
 
 type t = {
@@ -343,7 +338,6 @@ let dispatch t ~fault (r : Protocol.request) =
             pipeline_params =
               { Pipeline.default_params with
                 budget = Some b;
-                hc = t.config.hc;
                 slice = Dataflow.is_proper sl;
               };
           }
@@ -358,12 +352,7 @@ let dispatch t ~fault (r : Protocol.request) =
         memoized w ("cert:" ^ qtext) ~session:name @@ fun () ->
         let q = Parser.parse_query qtext in
         let sl = slice_of w q in
-        let params =
-          { Pipeline.default_params with
-            budget = Some b;
-            hc = t.config.hc;
-          }
-        in
+        let params = { Pipeline.default_params with budget = Some b } in
         (* consume the memoized slice directly: a certain verdict needs
            only the relevant rules, and the probe reports the same depth
            the full pipeline would (DESIGN.md section 11) *)

@@ -38,14 +38,11 @@ type config = {
   chase_rounds : int; (** default resident chase-prefix depth *)
   max_line_bytes : int; (** request lines above this are rejected *)
   faults : Faults.t option; (** fault injection, off by default *)
-  hc : Bddfc_hom.Hc.mode;
-      (** containment backend for every request ([--hc] on the CLI);
-          replies are bit-identical across modes *)
 }
 
 val default_config : config
 (** No deadline, no fuel, 64 in-flight, 16 chase rounds, 1 MiB lines,
-    no faults, {!Bddfc_hom.Hc.default_mode}. *)
+    no faults. *)
 
 type t
 

@@ -41,14 +41,9 @@ dune exec test/main.exe -- test hc
 # bit-identity and poisoned-state determinism
 dune exec test/main.exe -- test maintain
 
-# the structural-containment lane: the whole tier-1 suite again with
-# the hash-consed store switched off (every defaulted --hc forced to
-# structural), so each suite doubles as a differential oracle for the
-# interned run above
-BDDFC_TEST_HC=structural dune runtest --force
-
-# the CLI cram suite (exit codes, diagnostics, --strategy agreement,
-# and the bench gate self-test against doctored EX-20/EX-21 blobs)
+# the CLI cram suite (exit codes, diagnostics, usage errors for the
+# engine flags no subcommand takes, and the bench gate self-test
+# against doctored EX-20/EX-21 blobs)
 dune build @test/cli/runtest
 
 # the strategy agreement smoke: exits nonzero if the two chase
@@ -84,7 +79,8 @@ dune exec bench/main.exe -- --only analyze --check BENCH_08.json
 # backends; the depth-sweep rows must keep their >50% memo hit rate and
 # the counters must stay within 10% of the committed EX-21 blob; at
 # least one workload must show a >= 1.5x interned speedup (both arms
-# run in the same process).  Absolute wall times are never gated.
+# run in the same process, each timed as the median of 5 alternated
+# repetitions after a warm-up).  Absolute wall times are never gated.
 dune exec bench/main.exe -- --only hc --check BENCH_09.json
 
 # the incremental-maintenance smoke (EX-22): a churn stream of small

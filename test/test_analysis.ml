@@ -204,22 +204,25 @@ let starvation_budget () =
 let test_preflight_upgrades () =
   (* under a starvation fuel budget the weakly-acyclic entry is Unknown
      without the pre-flight and definitely decided with it *)
-  let e = Option.get (Zoo.find "weakly_acyclic") in
-  let db = Zoo.database_instance e in
-  let run preflight =
+  let run preflight theory db q =
     let params =
       { Pipeline.default_params with
         budget = Some (starvation_budget ());
         preflight;
       }
     in
-    Pipeline.construct ~params e.Zoo.theory db e.Zoo.query
+    Pipeline.construct ~params theory db q
   in
-  (match run false with
-  | Pipeline.Unknown (_, st) ->
-      check Alcotest.bool "fuel tripped" true (st.Pipeline.tripped <> None)
-  | _ -> Alcotest.fail "expected Unknown without the pre-flight");
-  match run true with
+  let expect_tripped what = function
+    | Pipeline.Unknown (_, st) ->
+        check Alcotest.bool (what ^ ": fuel tripped") true
+          (st.Pipeline.tripped <> None)
+    | _ -> Alcotest.failf "%s: expected Unknown without the pre-flight" what
+  in
+  let e = Option.get (Zoo.find "weakly_acyclic") in
+  let db = Zoo.database_instance e in
+  expect_tripped "zoo" (run false e.Zoo.theory db e.Zoo.query);
+  (match run true e.Zoo.theory db e.Zoo.query with
   | Pipeline.Model (cert, st) ->
       check Alcotest.bool "verified" true
         (Bddfc_finitemodel.Certificate.is_valid cert);
@@ -227,7 +230,20 @@ let test_preflight_upgrades () =
         st.Pipeline.preflight_terminating;
       check (Alcotest.option Alcotest.int) "the chase itself is the model"
         (Some 0) st.Pipeline.n_used
-  | _ -> Alcotest.fail "expected a definite Model with the pre-flight"
+  | _ -> Alcotest.fail "expected a definite Model with the pre-flight");
+  (* a file-style program whose query is certain: the same upgrade turns
+     the fuel-starved Unknown into a definite Query_entailed *)
+  let p =
+    prog "p(X) -> exists Y. e(X,Y). e(_X,Y) -> q(Y). p(a). ? q(X)."
+  in
+  let theory = Theory.make p.Parser.rules in
+  let db = Bddfc_structure.Instance.of_atoms p.Parser.facts in
+  let q = List.hd p.Parser.queries in
+  expect_tripped "wa.dlg" (run false theory db q);
+  match run true theory db q with
+  | Pipeline.Query_entailed d ->
+      check Alcotest.int "wa.dlg: certain at chase depth 3" 3 d
+  | _ -> Alcotest.fail "wa.dlg: expected Query_entailed with the pre-flight"
 
 let test_preflight_skips_cyclic () =
   (* a non-acyclic theory must not enter the fuel-free path *)

@@ -385,6 +385,29 @@ let test_rewrite_expired_deadline_differential () =
 (* Ptypes and Converge: the evaluation memo                           *)
 (* ----------------------------------------------------------------- *)
 
+(* The conservativity checks (Definitions 8 and 9) sit on ptp_leq and
+   classes: the same verdicts and failure lists under both modes. *)
+let conservative_agrees what ~m ~n inst coloring =
+  let show (c : Conservative.check) =
+    ( c.Conservative.conservative,
+      List.map
+        (fun (e, d) -> (e, match d with `Gained -> "gained" | `Lost -> "lost"))
+        c.Conservative.failures )
+  in
+  let run hc =
+    ( show (Conservative.check_exact ~hc ~m ~n inst coloring),
+      show (Conservative.check_refine ~hc ~m ~n inst coloring),
+      Conservative.find_conservative_n ~hc ~m ~max_n:(n + 1) inst coloring )
+  in
+  let ex_s, rf_s, least_s = run Hc.Structural in
+  let ex_i, rf_i, least_i = run Hc.Interned in
+  let verdict = Alcotest.(pair bool (list (pair int string))) in
+  check verdict (what ^ ": check_exact") ex_s ex_i;
+  check verdict (what ^ ": check_refine") rf_s rf_i;
+  check
+    Alcotest.(option int)
+    (what ^ ": find_conservative_n") least_s least_i
+
 let test_ptypes_differential () =
   for seed = 0 to 14 do
     let theory = Gen.random_binary_theory ~rules:3 ~seed () in
@@ -412,8 +435,20 @@ let test_ptypes_differential () =
     check
       Alcotest.(array int)
       (Printf.sprintf "seed %d: class assignment" seed)
-      ca cb
-  done
+      ca cb;
+    conservative_agrees (Printf.sprintf "seed %d" seed) ~m:2 ~n:1 inst
+      (Coloring.natural ~m:1 inst)
+  done;
+  (* the chains of the Conservative unit tests: a colored chain that is
+     conservative, and an uncolored one whose quotient gains queries, so
+     the failure lists compared are non-empty *)
+  let chain = Gen.null_chain ~consts:1 ~len:9 () in
+  conservative_agrees "colored chain" ~m:2 ~n:2 chain
+    (Coloring.natural ~m:2 chain);
+  let bare = Gen.null_chain ~consts:0 ~len:9 () in
+  let zeros = Array.make (Instance.num_elements bare) 0 in
+  conservative_agrees "uncolored chain" ~m:2 ~n:2 bare
+    (Coloring.materialize bare zeros zeros)
 
 let test_converge_differential () =
   let inst = Gen.cycle ~len:4 () in
@@ -644,11 +679,7 @@ let member name j =
   | None -> Alcotest.failf "reply lacks %S: %s" name (Json.to_string j)
 
 let test_serve_eviction_no_drift () =
-  (* pinned to Interned regardless of BDDFC_TEST_HC: the test is about
-     the eviction hook resetting a populated store *)
-  let config =
-    { Server.default_config with Server.chase_rounds = 8; hc = Hc.Interned }
-  in
+  let config = { Server.default_config with Server.chase_rounds = 8 } in
   let t = Server.create ~config () in
   let load =
     reply t
